@@ -4,14 +4,17 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
 #include "bench_util.h"
 #include "baselines/cox.h"
+#include "baselines/logistic.h"
 #include "baselines/rank_model.h"
 #include "baselines/weibull.h"
 #include "core/beta_bernoulli.h"
+#include "core/covariates.h"
 #include "core/dpmhbp.h"
 #include "core/hbp.h"
 #include "core/suffstats.h"
@@ -40,6 +43,34 @@ const Fixture& GetFixture() {
         f->dataset, data::TemporalSplit::Paper(),
         net::PipeCategory::kCriticalMain, net::FeatureConfig::DrinkingWater());
     f->input = std::move(*input);
+    return f;
+  }();
+  return *fixture;
+}
+
+/// Region A's CWM design (the calibrated paper region: 3 793 rows, 33
+/// features) with HBP-style pipe counts: training failure-years over years
+/// observed. The Newton-solver benchmarks fit on it.
+struct RegionAFixture {
+  data::RegionDataset dataset;
+  core::ModelInput input;
+  std::vector<double> failure_years;
+  std::vector<double> years;
+};
+
+const RegionAFixture& GetRegionAFixture() {
+  static RegionAFixture* fixture = [] {
+    auto f = new RegionAFixture();
+    auto dataset = data::GenerateRegion(data::RegionConfig::RegionA());
+    f->dataset = std::move(*dataset);
+    auto input = core::ModelInput::Build(
+        f->dataset, data::TemporalSplit::Paper(),
+        net::PipeCategory::kCriticalMain, net::FeatureConfig::DrinkingWater());
+    f->input = std::move(*input);
+    for (const core::PipeCounts& c : core::BuildPipeCounts(f->input)) {
+      f->failure_years.push_back(static_cast<double>(c.k));
+      f->years.push_back(std::max(1.0, static_cast<double>(c.n)));
+    }
     return f;
   }();
   return *fixture;
@@ -382,6 +413,25 @@ static void BM_WeibullFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WeibullFit)->Unit(benchmark::kMillisecond);
+
+static void BM_PoissonRegressionFit(benchmark::State& state) {
+  const RegionAFixture& f = GetRegionAFixture();
+  for (auto _ : state) {
+    auto fit = core::PoissonRegression::Fit(f.input.pipe_features,
+                                            f.failure_years, f.years, {});
+    benchmark::DoNotOptimize(fit.ok());
+  }
+}
+BENCHMARK(BM_PoissonRegressionFit)->Unit(benchmark::kMillisecond);
+
+static void BM_LogisticFit(benchmark::State& state) {
+  const RegionAFixture& f = GetRegionAFixture();
+  for (auto _ : state) {
+    baselines::LogisticModel model;
+    benchmark::DoNotOptimize(model.Fit(f.input).ok());
+  }
+}
+BENCHMARK(BM_LogisticFit)->Unit(benchmark::kMillisecond);
 
 static void BM_RankHingeFit(benchmark::State& state) {
   const Fixture& f = GetFixture();

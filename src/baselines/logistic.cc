@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "stats/linalg.h"
+#include "stats/newton.h"
 #include "stats/special.h"
 
 namespace piperisk {
@@ -17,83 +17,30 @@ Result<LogisticRegression> LogisticRegression::Fit(
     return Status::InvalidArgument("features/labels length mismatch");
   }
   if (n == 0) return Status::InvalidArgument("empty training set");
-  const size_t d = features[0].size();
-  for (const auto& row : features) {
-    if (row.size() != d) return Status::InvalidArgument("ragged rows");
-  }
+  auto design = stats::FlattenDesign(features);
+  if (!design.ok()) return design.status();
 
   LogisticRegression model;
-  model.weights_.assign(d, 0.0);
+  model.weights_.assign(design->cols, 0.0);
   double pos = 0.0;
   for (int l : labels) pos += l != 0 ? 1.0 : 0.0;
   double base = std::clamp(pos / static_cast<double>(n), 1e-6, 1.0 - 1e-6);
   model.intercept_ = stats::Logit(base);
 
-  const size_t dim = d + 1;
-  auto loglik = [&](double b0, const std::vector<double>& w) {
-    double ll = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      double eta = b0;
-      for (size_t c = 0; c < d; ++c) eta += w[c] * features[i][c];
-      // log sigmoid forms, stable.
-      if (labels[i] != 0) {
-        ll += -std::log1p(std::exp(-eta));
-      } else {
-        ll += -std::log1p(std::exp(eta));
-      }
-    }
-    for (double wc : w) ll -= 0.5 * config.ridge * wc * wc;
-    return ll;
+  auto row_loglik = [&](size_t i, double eta) {
+    // log sigmoid forms, stable.
+    return labels[i] != 0 ? -std::log1p(std::exp(-eta))
+                          : -std::log1p(std::exp(eta));
   };
-
-  double current_ll = loglik(model.intercept_, model.weights_);
-  for (int iter = 0; iter < config.max_iterations; ++iter) {
-    std::vector<double> grad(dim, 0.0);
-    stats::SymmetricMatrix hess(dim);
-    for (size_t i = 0; i < n; ++i) {
-      double eta = model.intercept_;
-      for (size_t c = 0; c < d; ++c) eta += model.weights_[c] * features[i][c];
-      double p = stats::Sigmoid(eta);
-      double resid = (labels[i] != 0 ? 1.0 : 0.0) - p;
-      double wgt = std::max(p * (1.0 - p), 1e-9);
-      for (size_t c = 0; c < d; ++c) grad[c] += resid * features[i][c];
-      grad[d] += resid;
-      for (size_t r = 0; r < d; ++r) {
-        for (size_t c2 = r; c2 < d; ++c2) {
-          hess.AddSymmetric(r, c2, wgt * features[i][r] * features[i][c2]);
-        }
-        hess.AddSymmetric(r, d, wgt * features[i][r]);
-      }
-      hess.at(d, d) += wgt;
-    }
-    for (size_t c = 0; c < d; ++c) {
-      grad[c] -= config.ridge * model.weights_[c];
-      hess.at(c, c) += config.ridge;
-    }
-    hess.AddDiagonal(1e-9);
-    if (stats::Norm2(grad) < config.tolerance * (1.0 + std::fabs(current_ll))) {
-      break;
-    }
-    auto step = stats::CholeskySolve(hess, grad);
-    if (!step.ok()) return step.status();
-    double scale = 1.0;
-    bool improved = false;
-    for (int half = 0; half < 30; ++half) {
-      std::vector<double> w_try = model.weights_;
-      for (size_t c = 0; c < d; ++c) w_try[c] += scale * (*step)[c];
-      double b0_try = model.intercept_ + scale * (*step)[d];
-      double ll_try = loglik(b0_try, w_try);
-      if (ll_try > current_ll - 1e-12) {
-        model.weights_ = std::move(w_try);
-        model.intercept_ = b0_try;
-        current_ll = ll_try;
-        improved = true;
-        break;
-      }
-      scale *= 0.5;
-    }
-    if (!improved) break;
-  }
+  auto row_score = [&](size_t i, double eta, double* resid) {
+    double p = stats::Sigmoid(eta);
+    *resid = (labels[i] != 0 ? 1.0 : 0.0) - p;
+    return std::max(p * (1.0 - p), 1e-9);
+  };
+  auto fit = stats::NewtonGlm(
+      *design, {config.ridge, config.max_iterations, config.tolerance},
+      row_loglik, row_score, &model.intercept_, &model.weights_);
+  if (!fit.ok()) return fit.status();
   return model;
 }
 

@@ -20,7 +20,8 @@ struct LogisticConfig {
   double tolerance = 1e-8;
 };
 
-/// Standalone solver, reusable outside the FailureModel interface.
+/// Standalone solver, reusable outside the FailureModel interface. Fit
+/// rejects ragged or non-finite feature rows with InvalidArgument.
 class LogisticRegression {
  public:
   static Result<LogisticRegression> Fit(

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "stats/linalg.h"
+#include "stats/newton.h"
 
 namespace piperisk {
 namespace core {
@@ -17,23 +17,19 @@ Result<PoissonRegression> PoissonRegression::Fit(
     return Status::InvalidArgument("rows/counts/exposures length mismatch");
   }
   if (n == 0) return Status::InvalidArgument("empty training set");
-  const std::size_t d = features[0].size();
-  for (const auto& row : features) {
-    if (row.size() != d) {
-      return Status::InvalidArgument("ragged feature rows");
-    }
-  }
+  auto design = stats::FlattenDesign(features);
+  if (!design.ok()) return design.status();
   for (std::size_t i = 0; i < n; ++i) {
-    if (!(exposures[i] > 0.0)) {
-      return Status::InvalidArgument("non-positive exposure");
+    if (!(std::isfinite(exposures[i]) && exposures[i] > 0.0)) {
+      return Status::InvalidArgument("exposure must be positive and finite");
     }
-    if (counts[i] < 0.0) {
-      return Status::InvalidArgument("negative count");
+    if (!(std::isfinite(counts[i]) && counts[i] >= 0.0)) {
+      return Status::InvalidArgument("count must be non-negative and finite");
     }
   }
 
   PoissonRegression model;
-  model.weights_.assign(d, 0.0);
+  model.weights_.assign(design->cols, 0.0);
   // Start the intercept at the log of the aggregate rate.
   double total_k = 0.0, total_n = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -44,79 +40,22 @@ Result<PoissonRegression> PoissonRegression::Fit(
 
   // Newton iterations on the penalised log likelihood
   //   sum_i [k_i eta_i - n_i exp(eta_i)] - ridge/2 ||w||^2,
-  //   eta_i = b0 + w' z_i.
-  const std::size_t dim = d + 1;  // intercept last
-  std::vector<double> eta(n, 0.0);
-  auto compute_loglik = [&](double b0, const std::vector<double>& w) {
-    double ll = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      double e = b0;
-      for (std::size_t c = 0; c < d; ++c) e += w[c] * features[i][c];
-      // Clamp to avoid exp overflow in pathological steps.
-      e = std::clamp(e, -30.0, 30.0);
-      ll += counts[i] * e - exposures[i] * std::exp(e);
-    }
-    for (double wc : w) ll -= 0.5 * config.ridge * wc * wc;
-    return ll;
+  //   eta_i = b0 + w' z_i,
+  // with eta clamped to avoid exp overflow in pathological steps.
+  auto row_loglik = [&](std::size_t i, double eta) {
+    const double e = std::clamp(eta, -30.0, 30.0);
+    return counts[i] * e - exposures[i] * std::exp(e);
   };
-
-  double current_ll = compute_loglik(model.intercept_, model.weights_);
-  int iter = 0;
-  for (; iter < config.max_iterations; ++iter) {
-    // Gradient and Hessian of the penalised log likelihood.
-    std::vector<double> grad(dim, 0.0);
-    stats::SymmetricMatrix hess(dim);
-    for (std::size_t i = 0; i < n; ++i) {
-      double e = model.intercept_;
-      for (std::size_t c = 0; c < d; ++c) {
-        e += model.weights_[c] * features[i][c];
-      }
-      e = std::clamp(e, -30.0, 30.0);
-      double mu = exposures[i] * std::exp(e);
-      double resid = counts[i] - mu;
-      for (std::size_t c = 0; c < d; ++c) grad[c] += resid * features[i][c];
-      grad[d] += resid;
-      for (std::size_t r = 0; r < d; ++r) {
-        for (std::size_t c = r; c < d; ++c) {
-          hess.AddSymmetric(r, c, mu * features[i][r] * features[i][c]);
-        }
-        hess.AddSymmetric(r, d, mu * features[i][r]);
-      }
-      hess.at(d, d) += mu;
-    }
-    for (std::size_t c = 0; c < d; ++c) {
-      grad[c] -= config.ridge * model.weights_[c];
-      hess.at(c, c) += config.ridge;
-    }
-    hess.AddDiagonal(1e-9);  // numerical floor
-
-    double grad_norm = stats::Norm2(grad);
-    if (grad_norm < config.tolerance * (1.0 + std::fabs(current_ll))) break;
-
-    auto step = stats::CholeskySolve(hess, grad);
-    if (!step.ok()) return step.status();
-
-    // Step halving to guarantee ascent.
-    double scale = 1.0;
-    bool improved = false;
-    for (int half = 0; half < 30; ++half) {
-      std::vector<double> w_try = model.weights_;
-      for (std::size_t c = 0; c < d; ++c) w_try[c] += scale * (*step)[c];
-      double b0_try = model.intercept_ + scale * (*step)[d];
-      double ll_try = compute_loglik(b0_try, w_try);
-      if (ll_try > current_ll - 1e-12) {
-        model.weights_ = std::move(w_try);
-        model.intercept_ = b0_try;
-        current_ll = ll_try;
-        improved = true;
-        break;
-      }
-      scale *= 0.5;
-    }
-    if (!improved) break;  // converged to numerical precision
-  }
-  model.iterations_used_ = iter;
-  (void)eta;
+  auto row_score = [&](std::size_t i, double eta, double* resid) {
+    const double mu = exposures[i] * std::exp(std::clamp(eta, -30.0, 30.0));
+    *resid = counts[i] - mu;
+    return mu;
+  };
+  auto iterations = stats::NewtonGlm(
+      *design, {config.ridge, config.max_iterations, config.tolerance},
+      row_loglik, row_score, &model.intercept_, &model.weights_);
+  if (!iterations.ok()) return iterations.status();
+  model.iterations_used_ = *iterations;
   return model;
 }
 

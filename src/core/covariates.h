@@ -28,7 +28,8 @@ class PoissonRegression {
  public:
   /// Fits on rows `features` with event counts `counts` and exposures
   /// `exposures` (> 0; e.g. observed years). Uses Newton's method with step
-  /// halving; fails if dimensions are inconsistent or the fit diverges.
+  /// halving (stats::NewtonGlm); fails if dimensions are inconsistent, any
+  /// input is NaN or infinite, or the fit diverges.
   static Result<PoissonRegression> Fit(
       const std::vector<std::vector<double>>& features,
       const std::vector<double>& counts, const std::vector<double>& exposures,

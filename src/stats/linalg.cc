@@ -16,6 +16,85 @@ void SymmetricMatrix::AddDiagonal(double value) {
   for (std::size_t i = 0; i < dim_; ++i) at(i, i) += value;
 }
 
+SymmetricMatrix WeightedGram(const double* x, std::size_t n, std::size_t d,
+                             const double* w) {
+  SymmetricMatrix h(d + 1);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const double* x0 = x + i * d;
+    const double* x1 = x0 + d;
+    const double* x2 = x1 + d;
+    const double* x3 = x2 + d;
+    for (std::size_t r = 0; r < d; ++r) {
+      const double a0 = w[i] * x0[r], a1 = w[i + 1] * x1[r],
+                   a2 = w[i + 2] * x2[r], a3 = w[i + 3] * x3[r];
+      double* hr = &h.at(r, 0);
+      for (std::size_t c = r; c < d; ++c) {
+        double s = hr[c];
+        s += a0 * x0[c];
+        s += a1 * x1[c];
+        s += a2 * x2[c];
+        s += a3 * x3[c];
+        hr[c] = s;
+      }
+      double s = hr[d];
+      s += a0;
+      s += a1;
+      s += a2;
+      s += a3;
+      hr[d] = s;
+    }
+    double s = h.at(d, d);
+    s += w[i];
+    s += w[i + 1];
+    s += w[i + 2];
+    s += w[i + 3];
+    h.at(d, d) = s;
+  }
+  for (; i < n; ++i) {
+    const double* xi = x + i * d;
+    for (std::size_t r = 0; r < d; ++r) {
+      const double ar = w[i] * xi[r];
+      double* hr = &h.at(r, 0);
+      for (std::size_t c = r; c < d; ++c) hr[c] += ar * xi[c];
+      hr[d] += ar;
+    }
+    h.at(d, d) += w[i];
+  }
+  for (std::size_t r = 0; r <= d; ++r) {
+    for (std::size_t c = r + 1; c <= d; ++c) h.at(c, r) = h.at(r, c);
+  }
+  return h;
+}
+
+void LinearPredictors(const double* x, std::size_t n, std::size_t d,
+                      double b0, const double* w, double* eta) {
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const double* x0 = x + i * d;
+    const double* x1 = x0 + d;
+    const double* x2 = x1 + d;
+    const double* x3 = x2 + d;
+    double e0 = b0, e1 = b0, e2 = b0, e3 = b0;
+    for (std::size_t c = 0; c < d; ++c) {
+      e0 += w[c] * x0[c];
+      e1 += w[c] * x1[c];
+      e2 += w[c] * x2[c];
+      e3 += w[c] * x3[c];
+    }
+    eta[i] = e0;
+    eta[i + 1] = e1;
+    eta[i + 2] = e2;
+    eta[i + 3] = e3;
+  }
+  for (; i < n; ++i) {
+    const double* xi = x + i * d;
+    double e = b0;
+    for (std::size_t c = 0; c < d; ++c) e += w[c] * xi[c];
+    eta[i] = e;
+  }
+}
+
 Result<std::vector<double>> CholeskySolve(const SymmetricMatrix& a,
                                           const std::vector<double>& b) {
   const std::size_t n = a.dim();
@@ -29,7 +108,7 @@ Result<std::vector<double>> CholeskySolve(const SymmetricMatrix& a,
       double sum = a.at(i, j);
       for (std::size_t k = 0; k < j; ++k) sum -= l[i * n + k] * l[j * n + k];
       if (i == j) {
-        if (sum <= 1e-300) {
+        if (!(sum > 1e-300)) {
           return Status::NumericalError(
               "matrix not positive definite in Cholesky");
         }

@@ -34,8 +34,26 @@ class SymmetricMatrix {
   std::vector<double> data_;
 };
 
+/// Weighted Gram matrix of a design with an intercept column: the Hessian of
+/// every GLM Newton solver in the tree. For a row-major n x d design `x` and
+/// row weights `w`, returns the (d+1) x (d+1) matrix (intercept last)
+///   h(r, c) = sum_i w_i x_ir x_ic,  h(r, d) = sum_i w_i x_ir,
+///   h(d, d) = sum_i w_i.
+/// Bit-identity contract: each entry is summed over rows in index order as
+/// h += (w_i * x_ir) * x_ic, starting from +0, exactly as the scalar
+/// AddSymmetric loop it replaced. The speed comes from layout only: the
+/// upper triangle is filled four rows per pass over `h` and mirrored once.
+SymmetricMatrix WeightedGram(const double* x, std::size_t n, std::size_t d,
+                             const double* w);
+
+/// Linear predictors eta_i = b0 + w' x_i of a row-major n x d design into
+/// `eta` (length n). Each row is summed left to right from b0, as the
+/// scalar loop; four rows run side by side so their sums overlap.
+void LinearPredictors(const double* x, std::size_t n, std::size_t d,
+                      double b0, const double* w, double* eta);
+
 /// Solves A x = b for symmetric positive-definite A via Cholesky; fails when
-/// A is not positive definite (within a tolerance).
+/// A is not positive definite (within a tolerance) or a pivot is NaN.
 Result<std::vector<double>> CholeskySolve(const SymmetricMatrix& a,
                                           const std::vector<double>& b);
 

@@ -6,12 +6,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 
 #include "baselines/age_models.h"
 #include "baselines/cox.h"
 #include "baselines/survival.h"
 #include "baselines/logistic.h"
 #include "baselines/weibull.h"
+#include "common/telemetry.h"
 #include "core/covariates.h"
 #include "stats/distributions.h"
 #include "stats/special.h"
@@ -25,6 +29,26 @@ namespace {
 using testutil::FastHierarchy;
 using testutil::GetSharedRegion;
 using testutil::ScoreAuc;
+
+// Bit pattern of a double: the goldens below pin fitted values exactly
+// (EXPECT_DOUBLE_EQ would allow 4 ULPs of drift).
+std::uint64_t Bits(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+#define EXPECT_BITS_EQ(actual, expected) \
+  EXPECT_EQ(Bits(actual), Bits(expected)) << (actual) << " vs " << (expected)
+
+void ExpectWeightBits(const std::vector<double>& actual,
+                      const std::vector<double>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t c = 0; c < actual.size(); ++c) {
+    SCOPED_TRACE(c);
+    EXPECT_BITS_EQ(actual[c], expected[c]);
+  }
+}
 
 // --- Poisson regression (core::PoissonRegression) -------------------------------
 
@@ -72,6 +96,56 @@ TEST(PoissonRegressionTest, ValidatesInputs) {
   EXPECT_FALSE(
       core::PoissonRegression::Fit({{1.0}, {1.0, 2.0}}, {1, 1}, {1, 1}, {})
           .ok());
+}
+
+TEST(PoissonRegressionTest, GoldenFitIsBitExact) {
+  // n % 4 != 0 so the Gram kernel's single-row tail is part of the pin.
+  stats::Rng rng(1401);
+  const size_t n = 1003, d = 5;
+  std::vector<std::vector<double>> rows(n, std::vector<double>(d));
+  std::vector<double> counts(n), exposure(n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t c = 0; c + 1 < d; ++c) rows[i][c] = stats::SampleNormal(&rng);
+    rows[i][d - 1] = stats::SampleBernoulli(&rng, 0.3) ? 1.0 : 0.0;
+    exposure[i] = 0.5 + 0.75 * static_cast<double>(i % 7);
+    double eta = -1.5 + 0.4 * rows[i][0] - 0.3 * rows[i][1] +
+                 0.2 * rows[i][2] + 0.5 * rows[i][4];
+    counts[i] = stats::SamplePoisson(&rng, exposure[i] * std::exp(eta));
+  }
+  core::PoissonRegressionConfig config;
+  config.ridge = 0.1;
+  auto fit = core::PoissonRegression::Fit(rows, counts, exposure, config);
+  ASSERT_TRUE(fit.ok());
+  EXPECT_EQ(fit->iterations_used(), 5);
+  EXPECT_BITS_EQ(fit->intercept(), -0x1.90964731a54ffp+0);
+  ExpectWeightBits(fit->weights(),
+                   {0x1.99d5fddddce0fp-2, -0x1.2cb6dcf39a31ap-2,
+                    0x1.9678061bc00f5p-3, 0x1.3927a01a239d1p-4,
+                    0x1.092bbf4b8ef22p-1});
+}
+
+TEST(PoissonRegressionTest, RejectsNonFiniteFeature) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto fit = core::PoissonRegression::Fit({{1.0}, {nan}}, {1.0, 0.0},
+                                          {1.0, 1.0}, {});
+  ASSERT_FALSE(fit.ok());
+  EXPECT_EQ(fit.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(PoissonRegressionTest, RejectsNonFiniteCount) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto fit = core::PoissonRegression::Fit({{1.0}, {0.5}}, {nan, 0.0},
+                                          {1.0, 1.0}, {});
+  ASSERT_FALSE(fit.ok());
+  EXPECT_EQ(fit.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(PoissonRegressionTest, RejectsNonFiniteExposure) {
+  const double inf = std::numeric_limits<double>::infinity();
+  auto fit = core::PoissonRegression::Fit({{1.0}, {0.5}}, {1.0, 0.0},
+                                          {1.0, inf}, {});
+  ASSERT_FALSE(fit.ok());
+  EXPECT_EQ(fit.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(PoissonRegressionTest, NormalisedMultipliersMeanOne) {
@@ -305,6 +379,42 @@ TEST(WeibullTest, ScoresHaveRankingSkill) {
   EXPECT_GT(ScoreAuc(shared.cwm_input, *scores), 0.55);
 }
 
+TEST(WeibullTest, GoldenFitIsBitExact) {
+  const auto& shared = GetSharedRegion();
+  WeibullModel model;
+  ASSERT_TRUE(model.Fit(shared.cwm_input).ok());
+  EXPECT_BITS_EQ(model.alpha(), 0x1.2c0afa968665fp-5);
+  EXPECT_BITS_EQ(model.beta(), 0x1.19204334ab985p-1);
+  ExpectWeightBits(
+      model.coefficients(),
+      {0x1.86cf1c9de246p-3,   -0x1.acabefa1e8245p-2, 0x1.22eee9ecb0687p-3,
+       0x1.323ff6dbb6ccfp-5,  -0x1.8a647a4d46c95p-3, 0x1.0e094c46f571ep-3,
+       0x1.ee8fe760a66b7p-1,  -0x1.adb738970a2bcp-5, 0x1.35fee3c644a27p-5,
+       0x1.be0d644808207p-2,  -0x1.e9bd6eb7a379p-2,  0x1.085709f76d945p-3,
+       0x0p+0,                0x0p+0,                -0x1.b64393adde5dep-2,
+       0x1.41ec888fdc393p-2,  0x1.8fa110dd67e63p-10, 0x1.32dcd812c1dcfp-3,
+       -0x1.c5d533deb7c1ap-5, -0x1.b9c0946f288d5p-4, 0x1.3a4d02e439f41p-3,
+       0x1.cdf9d38a4084fp-6,  -0x1.088199488a22dp-2, 0x1.b3ab52f314a7bp-6,
+       0x1.e3259f657fb5bp-4,  0x1.62f14666bb5c2p-2,  0x0p+0,
+       0x1.b5092fe8763e7p-5,  -0x1.f8d9fa8dbb14fp-7, 0x1.2a1651ecbfa48p-4,
+       -0x1.4e3232afc127fp-3, 0x0p+0,                0x1.0ae69ab5c2864p-2});
+}
+
+TEST(WeibullTest, FitAdvancesNewtonCounters) {
+  auto& registry = telemetry::Registry::Global();
+  telemetry::Counter* iterations =
+      registry.GetCounter("stats.newton.iterations");
+  telemetry::Counter* evals = registry.GetCounter("stats.newton.loglik_evals");
+  const std::int64_t iterations_before = iterations->Value();
+  const std::int64_t evals_before = evals->Value();
+  WeibullModel model;
+  ASSERT_TRUE(model.Fit(GetSharedRegion().cwm_input).ok());
+  const std::int64_t fit_iterations = iterations->Value() - iterations_before;
+  const std::int64_t fit_evals = evals->Value() - evals_before;
+  EXPECT_GT(fit_iterations, 0);
+  EXPECT_GE(fit_evals, fit_iterations);
+}
+
 TEST(WeibullTest, ScoreRejectsMismatchedFeatureDimension) {
   // Fit on the DrinkingWater feature schema, then try to score an input
   // built with AttributesOnly (fewer columns): both scoring paths must
@@ -397,6 +507,32 @@ TEST(LogisticTest, ModelAdapterWorksEndToEnd) {
   ASSERT_TRUE(scores.ok());
   EXPECT_GT(ScoreAuc(shared.cwm_input, *scores), 0.55);
   EXPECT_NE(model.fitted(), nullptr);
+}
+
+TEST(LogisticTest, GoldenFitIsBitExact) {
+  stats::Rng rng(1402);
+  const size_t n = 1001, d = 3;
+  std::vector<std::vector<double>> rows(n, std::vector<double>(d));
+  std::vector<int> labels(n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t c = 0; c < d; ++c) rows[i][c] = stats::SampleNormal(&rng);
+    double p = stats::Sigmoid(-0.7 + 1.2 * rows[i][0] - 0.6 * rows[i][1]);
+    labels[i] = stats::SampleBernoulli(&rng, p) ? 1 : 0;
+  }
+  auto fit = LogisticRegression::Fit(rows, labels, LogisticConfig());
+  ASSERT_TRUE(fit.ok());
+  EXPECT_BITS_EQ(fit->intercept(), -0x1.7381bad835a44p-1);
+  ExpectWeightBits(fit->weights(), {0x1.4d2658301a624p+0,
+                                    -0x1.589fdcfcf8c6fp-1,
+                                    0x1.38c0374c35ee3p-4});
+}
+
+TEST(LogisticTest, RejectsNonFiniteFeature) {
+  auto fit = LogisticRegression::Fit(
+      {{1.0}, {std::numeric_limits<double>::infinity()}}, {1, 0},
+      LogisticConfig());
+  ASSERT_FALSE(fit.ok());
+  EXPECT_EQ(fit.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(LogisticTest, ValidatesInputs) {

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 
 #include "stats/bootstrap.h"
 #include "stats/descriptive.h"
@@ -229,6 +232,81 @@ TEST(LinalgTest, CholeskyLargerRandomSpd) {
     double resid = -b[i];
     for (size_t j = 0; j < d; ++j) resid += a.at(i, j) * (*x)[j];
     EXPECT_NEAR(resid, 0.0, 1e-9);
+  }
+}
+
+TEST(LinalgTest, CholeskyRejectsNanPivot) {
+  SymmetricMatrix a(2);
+  a.at(0, 0) = std::numeric_limits<double>::quiet_NaN();
+  a.at(1, 1) = 1.0;
+  auto x = CholeskySolve(a, {1.0, 1.0});
+  ASSERT_FALSE(x.ok());
+  EXPECT_EQ(x.status().code(), StatusCode::kNumericalError);
+}
+
+std::uint64_t Bits(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+// The scalar Hessian loop WeightedGram replaced: one AddSymmetric per entry
+// per row.
+SymmetricMatrix NaiveWeightedGram(const std::vector<double>& x, size_t n,
+                                  size_t d, const std::vector<double>& w) {
+  SymmetricMatrix h(d + 1);
+  for (size_t i = 0; i < n; ++i) {
+    const double* xi = x.data() + i * d;
+    for (size_t r = 0; r < d; ++r) {
+      for (size_t c = r; c < d; ++c) h.AddSymmetric(r, c, w[i] * xi[r] * xi[c]);
+      h.AddSymmetric(r, d, w[i] * xi[r]);
+    }
+    h.at(d, d) += w[i];
+  }
+  return h;
+}
+
+TEST(LinalgTest, WeightedGramMatchesNaiveLoopBitForBit) {
+  Rng rng(14);
+  for (size_t n : {0, 1, 3, 4, 5, 4097}) {
+    for (size_t d : {0, 1, 2, 33}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " d=" << d);
+      std::vector<double> x(n * d);
+      for (double& v : x) v = SampleNormal(&rng);
+      // Negative weights and exact zeros alongside ordinary positive ones.
+      std::vector<double> w(n);
+      for (size_t i = 0; i < n; ++i) {
+        w[i] = i % 5 == 2 ? 0.0 : SampleNormal(&rng) * 3.0;
+      }
+      SymmetricMatrix fast = WeightedGram(x.data(), n, d, w.data());
+      SymmetricMatrix naive = NaiveWeightedGram(x, n, d, w);
+      ASSERT_EQ(fast.dim(), d + 1);
+      for (size_t r = 0; r <= d; ++r) {
+        for (size_t c = 0; c <= d; ++c) {
+          ASSERT_EQ(Bits(fast.at(r, c)), Bits(naive.at(r, c)))
+              << "entry (" << r << ", " << c << ")";
+        }
+      }
+    }
+  }
+}
+
+TEST(LinalgTest, LinearPredictorsMatchScalarLoopBitForBit) {
+  Rng rng(15);
+  for (size_t n : {0, 1, 3, 4, 5, 4097}) {
+    for (size_t d : {0, 1, 2, 33}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " d=" << d);
+      std::vector<double> x(n * d), w(d), eta(n);
+      for (double& v : x) v = SampleNormal(&rng);
+      for (double& v : w) v = SampleNormal(&rng);
+      const double b0 = -0.75;
+      LinearPredictors(x.data(), n, d, b0, w.data(), eta.data());
+      for (size_t i = 0; i < n; ++i) {
+        double e = b0;
+        for (size_t c = 0; c < d; ++c) e += w[c] * x[i * d + c];
+        ASSERT_EQ(Bits(eta[i]), Bits(e)) << "row " << i;
+      }
+    }
   }
 }
 
