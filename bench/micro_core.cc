@@ -12,6 +12,7 @@
 #include "baselines/cox.h"
 #include "baselines/logistic.h"
 #include "baselines/rank_model.h"
+#include "baselines/rsf.h"
 #include "baselines/weibull.h"
 #include "core/beta_bernoulli.h"
 #include "core/covariates.h"
@@ -413,6 +414,24 @@ static void BM_WeibullFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WeibullFit)->Unit(benchmark::kMillisecond);
+
+static void BM_RsfFit(benchmark::State& state) {
+  // The compare suite's forest (default config) on region A's CWM pipes.
+  // The fitted forest is bit-identical at every fit_threads.
+  const RegionAFixture& f = GetRegionAFixture();
+  for (auto _ : state) {
+    baselines::RsfConfig config;
+    config.num_fit_threads = static_cast<int>(state.range(0));
+    baselines::RsfModel model(config);
+    benchmark::DoNotOptimize(model.Fit(f.input).ok());
+  }
+}
+BENCHMARK(BM_RsfFit)
+    ->ArgNames({"fit_threads"})
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 static void BM_PoissonRegressionFit(benchmark::State& state) {
   const RegionAFixture& f = GetRegionAFixture();

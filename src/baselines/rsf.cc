@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <numeric>
 #include <utility>
 
 #include "common/thread_pool.h"
@@ -17,55 +17,6 @@ namespace {
 // the warm-start lineage).
 constexpr std::uint64_t kRsfStream = 0xF0153;
 
-/// Two-sample log-rank statistic (O - E)^2 / V over the member rows of a
-/// candidate split, with delayed entry: at each distinct event time t the
-/// at-risk set of a group is #{entry < t} - #{exit < t} (exit > entry holds
-/// for every BuildPipeSurvival row). Returns 0 when the split carries no
-/// information (V == 0).
-double LogRankStat(const std::vector<SurvivalObservation>& rows,
-                   const std::vector<std::size_t>& members,
-                   const std::vector<std::vector<double>>& z, int feature,
-                   double threshold) {
-  std::vector<double> entry[2], exit[2];
-  // event time -> (events left, events total)
-  std::map<double, std::pair<int, int>> events;
-  for (std::size_t i : members) {
-    const auto& r = rows[i];
-    int g = z[i][feature] <= threshold ? 0 : 1;
-    entry[g].push_back(r.entry);
-    exit[g].push_back(r.exit);
-    if (r.event) {
-      auto& d = events[r.exit];
-      if (g == 0) d.first += 1;
-      d.second += 1;
-    }
-  }
-  for (int g = 0; g < 2; ++g) {
-    std::sort(entry[g].begin(), entry[g].end());
-    std::sort(exit[g].begin(), exit[g].end());
-  }
-  double o = 0.0, e = 0.0, v = 0.0;
-  std::size_t ein[2] = {0, 0}, eout[2] = {0, 0};
-  for (const auto& [t, d] : events) {
-    double n_g[2];
-    for (int g = 0; g < 2; ++g) {
-      while (ein[g] < entry[g].size() && entry[g][ein[g]] < t) ++ein[g];
-      while (eout[g] < exit[g].size() && exit[g][eout[g]] < t) ++eout[g];
-      n_g[g] = static_cast<double>(ein[g] - eout[g]);
-    }
-    double n = n_g[0] + n_g[1];
-    if (n <= 1.0) continue;
-    double dt = static_cast<double>(d.second);
-    double frac = n_g[0] / n;
-    o += static_cast<double>(d.first);
-    e += dt * frac;
-    v += dt * frac * (1.0 - frac) * (n - dt) / (n - 1.0);
-  }
-  if (v <= 0.0) return 0.0;
-  double diff = o - e;
-  return diff * diff / v;
-}
-
 struct TreeBuilder {
   const std::vector<SurvivalObservation>& rows;
   const std::vector<std::vector<double>>& z;
@@ -73,6 +24,9 @@ struct TreeBuilder {
   int mtry;
   stats::Rng* rng;
   RsfTree* tree;
+  // Scratch reused across nodes (a node is done with it before recursing).
+  LogRankScan scan;
+  std::vector<double> column, vals;
 
   int MakeLeaf(const std::vector<std::size_t>& members) {
     std::vector<SurvivalObservation> obs;
@@ -109,12 +63,14 @@ struct TreeBuilder {
     double best_stat = 0.0;
     int best_feature = -1;
     double best_threshold = 0.0;
-    std::vector<double> vals;
+    scan.Reset(rows, members);
     for (int f : features) {
-      vals.clear();
-      for (std::size_t i : members) vals.push_back(z[i][f]);
+      column.clear();
+      for (std::size_t i : members) column.push_back(z[i][f]);
+      vals = column;
       std::sort(vals.begin(), vals.end());
       if (vals.front() == vals.back()) continue;  // constant in this node
+      scan.LoadFeature(column);
       for (int k = 1; k <= cfg.num_thresholds; ++k) {
         std::size_t pos = members.size() * static_cast<std::size_t>(k) /
                           (static_cast<std::size_t>(cfg.num_thresholds) + 1);
@@ -122,15 +78,13 @@ struct TreeBuilder {
         double thr = vals[pos];
         if (thr >= vals.back()) continue;  // right child would be empty
         std::size_t left_count = 0;
-        for (std::size_t i : members) {
-          if (z[i][f] <= thr) ++left_count;
-        }
+        for (double v : column) left_count += v <= thr ? 1 : 0;
         if (left_count < static_cast<std::size_t>(cfg.min_leaf_obs) ||
             members.size() - left_count <
                 static_cast<std::size_t>(cfg.min_leaf_obs)) {
           continue;
         }
-        double stat = LogRankStat(rows, members, z, f, thr);
+        double stat = scan.Stat(thr);
         if (stat > best_stat) {
           best_stat = stat;
           best_feature = f;
@@ -157,6 +111,90 @@ struct TreeBuilder {
 };
 
 }  // namespace
+
+void LogRankScan::Reset(const std::vector<SurvivalObservation>& rows,
+                        const std::vector<std::size_t>& members) {
+  const std::size_t m = members.size();
+  auto sort_by = [&](std::vector<std::size_t>* order,
+                     double SurvivalObservation::*key) {
+    std::sort(order->begin(), order->end(),
+              [&](std::size_t a, std::size_t b) {
+                return rows[members[a]].*key < rows[members[b]].*key;
+              });
+  };
+  by_entry_.resize(m);
+  by_exit_.resize(m);
+  std::iota(by_entry_.begin(), by_entry_.end(), std::size_t{0});
+  std::iota(by_exit_.begin(), by_exit_.end(), std::size_t{0});
+  sort_by(&by_entry_, &SurvivalObservation::entry);
+  sort_by(&by_exit_, &SurvivalObservation::exit);
+  by_event_.clear();
+  for (std::size_t p : by_exit_) {
+    if (rows[members[p]].event) by_event_.push_back(p);
+  }
+
+  // Distinct event times, ascending; at each, the node's entries and exits
+  // strictly before it and the end of its events in by_event_.
+  times_.clear();
+  in_end_.clear();
+  out_end_.clear();
+  event_end_.clear();
+  std::size_t in = 0, out = 0;
+  for (std::size_t k = 0; k < by_event_.size(); ++k) {
+    const double t = rows[members[by_event_[k]]].exit;
+    if (!times_.empty() && times_.back() == t) {
+      event_end_.back() = k + 1;
+      continue;
+    }
+    while (in < m && rows[members[by_entry_[in]]].entry < t) ++in;
+    while (out < m && rows[members[by_exit_[out]]].exit < t) ++out;
+    times_.push_back(t);
+    in_end_.push_back(in);
+    out_end_.push_back(out);
+    event_end_.push_back(k + 1);
+  }
+}
+
+void LogRankScan::LoadFeature(const std::vector<double>& value) {
+  auto gather = [&](const std::vector<std::size_t>& order,
+                    std::vector<double>* out) {
+    out->resize(order.size());
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      (*out)[k] = value[order[k]];
+    }
+  };
+  gather(by_entry_, &entry_value_);
+  gather(by_exit_, &exit_value_);
+  gather(by_event_, &event_value_);
+}
+
+double LogRankScan::Stat(double threshold) const {
+  // Group 0 is value <= threshold. Integer at-risk counts per group, then
+  // the statistic's terms in exactly the sort-per-candidate form's order
+  // and arithmetic, so every candidate's value is bit-identical to it.
+  double o = 0.0, e = 0.0, v = 0.0;
+  std::size_t in0 = 0, out0 = 0, a = 0, b = 0, c = 0;
+  for (std::size_t j = 0; j < times_.size(); ++j) {
+    for (; a < in_end_[j]; ++a) in0 += entry_value_[a] <= threshold ? 1 : 0;
+    for (; b < out_end_[j]; ++b) out0 += exit_value_[b] <= threshold ? 1 : 0;
+    int d0 = 0;
+    const std::size_t c_begin = c;
+    for (; c < event_end_[j]; ++c) d0 += event_value_[c] <= threshold ? 1 : 0;
+    const double n_g[2] = {
+        static_cast<double>(in0 - out0),
+        static_cast<double>((in_end_[j] - in0) - (out_end_[j] - out0))};
+    double n = n_g[0] + n_g[1];
+    if (n <= 1.0) continue;
+    double dt = static_cast<double>(c - c_begin);
+    double frac = n_g[0] / n;
+    o += static_cast<double>(d0);
+    e += dt * frac;
+    v += dt * frac * (1.0 - frac) * (n - dt) / (n - 1.0);
+  }
+  if (v <= 0.0) return 0.0;
+  double diff = o - e;
+  return diff * diff / v;
+}
 
 RsfModel::RsfModel(RsfConfig config) : config_(config) {}
 
@@ -227,9 +265,9 @@ Status RsfModel::Fit(const core::ModelInput& input) {
         for (std::size_t i = 0; i < n; ++i) {
           members[i] = static_cast<std::size_t>(rng.NextBounded(n));
         }
-        TreeBuilder builder{rows,  input.pipe_features,
-                            config_, mtry,
-                            &rng,   &grown[static_cast<std::size_t>(t)]};
+        TreeBuilder builder{rows, input.pipe_features, config_, mtry, &rng,
+                            &grown[static_cast<std::size_t>(t)],
+                            /*scan=*/{}, /*column=*/{}, /*vals=*/{}};
         builder.Build(members, 0);
       });
 

@@ -53,6 +53,36 @@ struct RsfTree {
   std::vector<StepFunction> leaf_chf;
 };
 
+/// Two-sample log-rank statistic (O - E)^2 / V for the candidate splits of
+/// one tree node, with delayed entry: at each distinct event time t a
+/// group's at-risk count is #{entry < t} - #{exit < t} (exit > entry holds
+/// for every BuildPipeSurvival row). Reset sorts the node's entries, exits
+/// and event times once; each candidate is then one linear merge with
+/// integer at-risk counts, whose (O, E, V) terms see the same values in the
+/// same order as a per-candidate sort would, so the statistic is
+/// bit-identical to it.
+class LogRankScan {
+ public:
+  /// Presorts the node's member rows (bootstrap duplicates count twice).
+  void Reset(const std::vector<SurvivalObservation>& rows,
+             const std::vector<std::size_t>& members);
+  /// Loads the split feature: value[p] belongs to members[p].
+  void LoadFeature(const std::vector<double>& value);
+  /// Statistic of the split value <= threshold vs the rest; 0 when the
+  /// split carries no information (V == 0).
+  double Stat(double threshold) const;
+
+ private:
+  // Member positions in entry, exit and event-exit order.
+  std::vector<std::size_t> by_entry_, by_exit_, by_event_;
+  std::vector<double> times_;  // distinct event times, ascending
+  // Per event time: entries and exits strictly before it, and the end of
+  // its events in by_event_.
+  std::vector<std::size_t> in_end_, out_end_, event_end_;
+  // The loaded feature in by_entry_, by_exit_ and by_event_ order.
+  std::vector<double> entry_value_, exit_value_, event_value_;
+};
+
 /// Portable snapshot of a fitted forest for warm-started rolling re-fits:
 /// the trees carry raw (unstandardised-agnostic) thresholds, so they can
 /// score a later year's input directly; `streams_used` records how many RNG

@@ -32,6 +32,10 @@ constexpr double kRateCeil = 1.0 - 1e-7;
 /// reproduces historical fits bit-for-bit.
 constexpr std::uint64_t kDpmhbpStream = 0xD1EC1;
 
+/// Rows per chunk of the pipelined CRP pass. Fixed: scheduling only, it
+/// never reaches the draws.
+constexpr size_t kCrpChunkRows = 1024;
+
 double TiltedMean(double q, double multiplier) {
   return std::clamp(q * multiplier, kRateFloor, kRateCeil);
 }
@@ -83,6 +87,7 @@ Status DpmhbpModel::Fit(const ModelInput& input) {
   if (n == 0) return Status::InvalidArgument("no segments to fit");
   const HierarchyConfig& h = config_.hierarchy;
   if (h.samples <= 0) return Status::InvalidArgument("samples must be > 0");
+  PIPERISK_RETURN_IF_ERROR(ValidateConcentrations(h));
   if (h.num_chains < 1) {
     return Status::InvalidArgument("num_chains must be >= 1");
   }
@@ -224,6 +229,10 @@ Status DpmhbpModel::Fit(const ModelInput& input) {
     double alpha = 0.0;
     GroupLikelihoodCache cache;
     std::vector<double> log_weights, sample_scratch, aux_q, hist;
+    // Pipelined CRP pass: a three-chunk ring of auxiliary rates, their
+    // weights and the rows' uniforms, plus the assign stage's column table.
+    std::vector<double> pipe_aux_q, pipe_aux_ll, pipe_u;
+    std::vector<const double*> cols;
     telemetry::Counter* sweep_counter = nullptr;
     // Within-chain partitioning scratch (allocation reuse only; nothing here
     // survives a sweep or is checkpointed).
@@ -363,73 +372,157 @@ Status DpmhbpModel::Fit(const ModelInput& input) {
   // --- (1) CRP reassignment of every segment (Neal's algorithm 8) ---
   // Weight of an occupied group = log(count) + cached class loglik; the
   // cache column is refreshed only when the group's rate version moved.
-  // Serial reference pass: also runs unchanged under deterministic
-  // parallelism (only the column refreshes are hoisted out in front).
-  auto crp_pass_serial = [&](ChainState& s, ChainDraws& out, stats::Rng* rng) {
+  //
+  // The row loop's only RNG use is `auxiliary_components` SampleBeta(a0, b0)
+  // draws then one uniform per row, and a0, b0 are fixed for the fit, so
+  // the pass's whole draw sequence depends only on the RNG state at its
+  // start. The pass is therefore a three-stage pipeline over fixed chunks
+  // of kCrpChunkRows rows: *draw* (serial, owns the RNG) writes each row's
+  // auxiliary rates and uniform; *aux* (pure, split over the spare workers)
+  // turns the rates into auxiliary-table weights; *assign* (serial, owns
+  // the chain state) runs the weight loop and seats the row. Step t runs
+  // assign(t-2), aux(t-1) and draw(t) at once on disjoint slots of a
+  // three-chunk ring; at one thread the same steps run in the caller. Every
+  // weight and uniform is the serial loop's, so the pass is bit-identical
+  // at every sweep_threads.
+  auto crp_pass = [&](ChainState& s, ChainDraws& out, stats::Rng* rng) {
     std::vector<Group>& groups = s.groups;
-    for (size_t row = 0; row < n; ++row) {
-      size_t old_g = static_cast<size_t>(out.labels[row]);
-      groups[old_g].count -= 1;
+    const size_t aux_m = static_cast<size_t>(config_.auxiliary_components);
+    const size_t chunks = (n + kCrpChunkRows - 1) / kCrpChunkRows;
+    const double log_alpha_share =
+        std::log(s.alpha / config_.auxiliary_components);
+    s.pipe_aux_q.resize(3 * kCrpChunkRows * aux_m);
+    s.pipe_aux_ll.resize(3 * kCrpChunkRows * aux_m);
+    s.pipe_u.resize(3 * kCrpChunkRows);
+    auto chunk_rows = [&](size_t chunk) {
+      const size_t lo = chunk * kCrpChunkRows;
+      return std::pair<size_t, size_t>(lo, std::min(n, lo + kCrpChunkRows));
+    };
+    // Ring offset of a row's first auxiliary entry / its uniform.
+    auto ring = [&](size_t row) {
+      return (row / kCrpChunkRows % 3) * kCrpChunkRows + row % kCrpChunkRows;
+    };
 
-      // Fresh prior draws for the auxiliary (empty) tables. If the segment
-      // just vacated a table, reuse that table's rate as the first
-      // auxiliary (Neal's trick keeps the chain valid and helps mixing).
-      for (int m = 0; m < config_.auxiliary_components; ++m) {
-        s.aux_q[static_cast<size_t>(m)] =
-            std::clamp(stats::SampleBeta(rng, a0, b0), kRateFloor, 0.999);
+    auto draw = [&](size_t chunk) {
+      auto [lo, hi] = chunk_rows(chunk);
+      for (size_t row = lo; row < hi; ++row) {
+        double* aux_q = s.pipe_aux_q.data() + ring(row) * aux_m;
+        for (size_t m = 0; m < aux_m; ++m) {
+          aux_q[m] =
+              std::clamp(stats::SampleBeta(rng, a0, b0), kRateFloor, 0.999);
+        }
+        s.pipe_u[ring(row)] = rng->NextDouble();
       }
-      if (groups[old_g].count == 0) s.aux_q[0] = groups[old_g].q;
+    };
+    auto aux = [&](size_t chunk, int block, int blocks) {
+      auto [lo, hi] = chunk_rows(chunk);
+      auto [blo, bhi] = BlockRange(hi - lo, blocks, block);
+      for (size_t row = lo + blo; row < lo + bhi; ++row) {
+        const size_t cls = classes.row_class(row);
+        const size_t at = ring(row) * aux_m;
+        for (size_t m = 0; m < aux_m; ++m) {
+          s.pipe_aux_ll[at + m] =
+              log_alpha_share + classes.ClassLogLik(cls, s.pipe_aux_q[at + m]);
+        }
+      }
+    };
 
-      const size_t cls = classes.row_class(row);
-      s.log_weights.clear();
-      for (size_t g = 0; g < groups.size(); ++g) {
-        if (groups[g].count == 0) {
-          s.log_weights.push_back(-std::numeric_limits<double>::infinity());
+    // Assign-stage state. `cols` holds each group's cache column and is
+    // rebuilt only after a table is seated — the one event that changes a
+    // column mid-pass. The rebuild does the serial loop's Column lookups;
+    // every other row's lookups are all hits, tallied in `hits`.
+    size_t occupied = 0;
+    for (const Group& g : groups) occupied += g.count > 0 ? 1 : 0;
+    bool cols_stale = true;
+    std::uint64_t hits = 0;
+    auto assign = [&](size_t chunk) {
+      auto [lo, hi] = chunk_rows(chunk);
+      for (size_t row = lo; row < hi; ++row) {
+        const size_t old_g = static_cast<size_t>(out.labels[row]);
+        const size_t cls = classes.row_class(row);
+        const size_t at = ring(row) * aux_m;
+        double* aux_q = s.pipe_aux_q.data() + at;
+        double* aux_ll = s.pipe_aux_ll.data() + at;
+        if (--groups[old_g].count == 0) {
+          // The row vacated its table: that table's rate is the first
+          // auxiliary (Neal's trick keeps the chain valid and helps mixing).
+          --occupied;
+          aux_q[0] = groups[old_g].q;
+          aux_ll[0] = log_alpha_share + classes.ClassLogLik(cls, aux_q[0]);
+        }
+
+        const size_t num_groups = groups.size();
+        if (cols_stale) {
+          s.cache.EnsureSlots(num_groups);
+          s.cols.resize(num_groups);
+          for (size_t g = 0; g < num_groups; ++g) {
+            if (groups[g].count == 0) continue;
+            s.cols[g] =
+                s.cache.Column(g, groups[g].q_version, groups[g].q).data();
+          }
+          cols_stale = false;
+        } else {
+          hits += occupied;
+        }
+        if (s.log_weights.size() < num_groups + aux_m) {
+          s.log_weights.resize(num_groups + aux_m);
+        }
+        double* w = s.log_weights.data();
+        for (size_t g = 0; g < num_groups; ++g) {
+          const int count = groups[g].count;
+          w[g] = count == 0 ? -std::numeric_limits<double>::infinity()
+                            : log_count[static_cast<size_t>(count)] +
+                                  s.cols[g][cls];
+        }
+        std::copy(aux_ll, aux_ll + aux_m, w + num_groups);
+
+        const size_t choice = stats::SampleDiscreteLogUniform(
+            s.pipe_u[ring(row)],
+            std::span<const double>(w, num_groups + aux_m),
+            &s.sample_scratch);
+        if (choice < num_groups) {
+          out.labels[row] = static_cast<int>(choice);
+          groups[choice].count += 1;
           continue;
         }
-        const std::vector<double>& col =
-            s.cache.Column(g, groups[g].q_version, groups[g].q);
-        s.log_weights.push_back(
-            log_count[static_cast<size_t>(groups[g].count)] + col[cls]);
-      }
-      double log_alpha_share =
-          std::log(s.alpha / config_.auxiliary_components);
-      for (int m = 0; m < config_.auxiliary_components; ++m) {
-        s.log_weights.push_back(
-            log_alpha_share +
-            classes.ClassLogLik(cls, s.aux_q[static_cast<size_t>(m)]));
-      }
-
-      size_t choice = stats::SampleDiscreteLog(
-          rng, std::span<const double>(s.log_weights), &s.sample_scratch);
-      if (choice < groups.size()) {
-        out.labels[row] = static_cast<int>(choice);
-        groups[choice].count += 1;
-      } else {
-        // Seat at a new table carrying the chosen auxiliary rate. Reuse
-        // the vacated slot when available to limit growth.
-        double new_q = s.aux_q[choice - groups.size()];
-        size_t slot;
-        if (groups[old_g].count == 0) {
-          slot = old_g;
-        } else {
+        // Seat at a new table carrying the chosen auxiliary rate. Reuse the
+        // vacated slot when available to limit growth.
+        size_t slot = old_g;
+        if (groups[old_g].count != 0) {
           // Find any empty slot, else append.
-          slot = groups.size();
-          for (size_t g = 0; g < groups.size(); ++g) {
+          slot = num_groups;
+          for (size_t g = 0; g < num_groups; ++g) {
             if (groups[g].count == 0) {
               slot = g;
               break;
             }
           }
-          if (slot == groups.size()) groups.emplace_back();
+          if (slot == num_groups) groups.emplace_back();
         }
-        groups[slot].q = new_q;
+        groups[slot].q = aux_q[choice - num_groups];
         groups[slot].count = 1;
         groups[slot].adapter = StepSizeAdapter();
         ++groups[slot].q_version;
         out.labels[row] = static_cast<int>(slot);
+        ++occupied;
+        cols_stale = true;
       }
+    };
+
+    const int aux_blocks = std::max(1, exec_threads - 2);
+    for (size_t t = 0; t < chunks + 2; ++t) {
+      ThreadPool::Shared().ParallelFor(
+          2 + aux_blocks, exec_threads, [&](int b) {
+            if (b == 0) {
+              if (t >= 2) assign(t - 2);
+            } else if (b == 1) {
+              if (t < chunks) draw(t);
+            } else if (t >= 1 && t <= chunks) {
+              aux(t - 1, b - 2, aux_blocks);
+            }
+          });
     }
+    s.cache.TallyLookups(hits, 0);
   };
 
   // Fast-mode CRP: rows are sharded over contiguous blocks, every shard
@@ -438,11 +531,9 @@ Status DpmhbpModel::Fit(const ModelInput& input) {
   // RNG sub-stream, and the assignments are applied serially in row order
   // afterwards. Deterministic for a fixed (seed, sweep_threads) but not
   // bit-identical to the serial pass — the statistical-equivalence tests
-  // gate it.
+  // gate it. Expects the columns prefetched by the sweep.
   auto crp_pass_fast = [&](ChainState& s, ChainDraws& out, stats::Rng* rng) {
     std::vector<Group>& groups = s.groups;
-    prefetch_columns(s);
-    s.cache.TallyLookups(0, s.stale.size());
     const size_t num_groups = groups.size();
     const int shards = static_cast<int>(
         std::min(static_cast<size_t>(sweep_threads), n));
@@ -637,35 +728,46 @@ Status DpmhbpModel::Fit(const ModelInput& input) {
 
   // One sweep over the deduplicated classes with versioned per-group
   // likelihood caching and allocation-free inner loops; writes only to its
-  // chain's slots. Deterministic partitioning (sweep_threads > 1) hoists
-  // column refreshes in front of the serial CRP pass and splits the
-  // Metropolis targets; fast mode additionally shards the CRP pass itself.
+  // chain's slots. Parallel sweeps refresh the stale columns up front and
+  // split the Metropolis targets; fast mode additionally shards the CRP pass
+  // itself. Each phase is one span per sweep, never per row.
   auto sweep_dedup = [&](int chain, int iter, stats::Rng* rng) {
     ChainState& s = *states[static_cast<size_t>(chain)];
     ChainDraws& out = draws[static_cast<size_t>(chain)];
     telemetry::ScopedSpan sweep_span("dpmhbp.sweep");
-    if (use_fast) {
-      SweepMetrics::Get().parallel_sweeps->Increment();
-      crp_pass_fast(s, out, rng);
-      build_hist(s, out);
-      metropolis_parallel(s, out, iter, rng);
-    } else if (parallel_sweep) {
-      SweepMetrics::Get().parallel_sweeps->Increment();
-      // Refresh the stale columns in parallel up front; the serial CRP pass
-      // then runs unchanged against warm columns. Tallied as misses here
-      // (the row loop's first lookups then count as hits).
-      prefetch_columns(s);
-      s.cache.TallyLookups(0, s.stale.size());
-      crp_pass_serial(s, out, rng);
-      build_hist(s, out);
-      metropolis_parallel(s, out, iter, rng);
-    } else {
-      SweepMetrics::Get().serial_sweeps->Increment();
-      crp_pass_serial(s, out, rng);
-      build_hist(s, out);
-      metropolis_serial(s, out, iter, rng);
+    (parallel_sweep ? SweepMetrics::Get().parallel_sweeps
+                    : SweepMetrics::Get().serial_sweeps)
+        ->Increment();
+    {
+      // Tallied as misses here, so the CRP pass's first lookups hit. A
+      // serial sweep refreshes lazily inside the pass instead.
+      telemetry::ScopedSpan span("dpmhbp.prefetch");
+      if (parallel_sweep) {
+        prefetch_columns(s);
+        s.cache.TallyLookups(0, s.stale.size());
+      }
     }
-    finish_sweep(iter, s.groups, &s.alpha, &out, rng);
+    {
+      telemetry::ScopedSpan span("dpmhbp.crp");
+      if (use_fast) {
+        crp_pass_fast(s, out, rng);
+      } else {
+        crp_pass(s, out, rng);
+      }
+    }
+    {
+      telemetry::ScopedSpan span("dpmhbp.metropolis");
+      build_hist(s, out);
+      if (parallel_sweep) {
+        metropolis_parallel(s, out, iter, rng);
+      } else {
+        metropolis_serial(s, out, iter, rng);
+      }
+    }
+    {
+      telemetry::ScopedSpan span("dpmhbp.finish");
+      finish_sweep(iter, s.groups, &s.alpha, &out, rng);
+    }
     s.sweep_counter->Increment();
   };
 

@@ -209,10 +209,22 @@ std::string HbpModel::name() const {
   return "HBP(" + std::string(ToString(scheme_)) + ")";
 }
 
+Status ValidateConcentrations(const HierarchyConfig& config) {
+  for (double c : {config.c, config.c0}) {
+    if (!std::isfinite(c) || c <= 0.0) {
+      return Status::InvalidArgument(StrFormat(
+          "concentrations must be finite and > 0 (c=%g, c0=%g)", config.c,
+          config.c0));
+    }
+  }
+  return Status::OK();
+}
+
 Status HbpModel::Fit(const ModelInput& input) {
   const size_t n = input.num_pipes();
   if (n == 0) return Status::InvalidArgument("no pipes to fit");
   if (config_.samples <= 0) return Status::InvalidArgument("samples must be > 0");
+  PIPERISK_RETURN_IF_ERROR(ValidateConcentrations(config_));
   if (config_.num_chains < 1) {
     return Status::InvalidArgument("num_chains must be >= 1");
   }

@@ -69,7 +69,8 @@ struct HierarchyConfig {
   double min_multiplier = 0.2;
   double max_multiplier = 5.0;
   /// Worker threads for partitioning work *inside* one sweep (parallel
-  /// likelihood-column refreshes and Metropolis target evaluations; see
+  /// likelihood-column refreshes, the pipelined DPMHBP CRP pass and
+  /// Metropolis target evaluations; see
   /// core/sweep_parallel.h). <= 0 resolves to the hardware, 1 is the serial
   /// sweep. In the default deterministic mode draws are bit-identical at
   /// every setting — the RNG is consumed by a serial coordinator in
@@ -103,6 +104,10 @@ struct HierarchyConfig {
   /// bit-identical.
   int warm_burn_in = -1;
 };
+
+/// InvalidArgument unless both concentrations c and c0 are finite and > 0
+/// (the collapsed likelihood and the Beta prior are improper otherwise).
+Status ValidateConcentrations(const HierarchyConfig& config);
 
 /// The hierarchical beta process baseline of Li et al. (2014) /
 /// Sect. 18.3.1.3, exactly as the chapter positions it against the DPMHBP:

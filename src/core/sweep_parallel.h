@@ -15,10 +15,11 @@ namespace core {
 ///
 /// Deterministic mode: the sweep's RNG draws all happen on a serial
 /// coordinator in canonical order; only pure (RNG-free) work — likelihood
-/// column refreshes and Metropolis log-target evaluations — fans out over
-/// the shared thread pool, and results are merged back in canonical group
-/// order with the exact serial arithmetic. Output is bit-identical at every
-/// sweep_threads setting.
+/// column refreshes, the CRP pass's auxiliary-table weights and Metropolis
+/// log-target evaluations — fans out over the shared thread pool, and
+/// results are merged back in canonical order with the exact serial
+/// arithmetic. The CRP pass pipelines its serial draw and assign stages
+/// over row chunks. Output is bit-identical at every sweep_threads setting.
 ///
 /// Fast mode: CRP reassignment is sharded over contiguous row blocks, each
 /// shard sampling against start-of-sweep state with its own pre-forked RNG

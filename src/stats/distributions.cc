@@ -165,6 +165,11 @@ size_t SampleDiscreteLog(Rng* rng, const std::vector<double>& log_weights) {
 
 size_t SampleDiscreteLog(Rng* rng, std::span<const double> log_weights,
                          std::vector<double>* scratch) {
+  return SampleDiscreteLogUniform(rng->NextDouble(), log_weights, scratch);
+}
+
+size_t SampleDiscreteLogUniform(double u, std::span<const double> log_weights,
+                                std::vector<double>* scratch) {
   PIPERISK_CHECK(!log_weights.empty()) << "empty log-weight vector";
   double max_lw = kNegInf;
   for (double lw : log_weights) max_lw = std::max(max_lw, lw);
@@ -172,15 +177,18 @@ size_t SampleDiscreteLog(Rng* rng, std::span<const double> log_weights,
   scratch->resize(log_weights.size());
   double total = 0.0;
   for (size_t i = 0; i < log_weights.size(); ++i) {
-    (*scratch)[i] = std::exp(log_weights[i] - max_lw);
-    total += (*scratch)[i];
+    // exp(-inf) is exactly +0, so skipping it leaves total and scan unchanged.
+    const double w =
+        log_weights[i] == kNegInf ? 0.0 : std::exp(log_weights[i] - max_lw);
+    (*scratch)[i] = w;
+    total += w;
   }
   PIPERISK_CHECK(total > 0.0) << "all-zero weight vector";
-  double u = rng->NextDouble() * total;
+  double target = u * total;
   double acc = 0.0;
   for (size_t i = 0; i < scratch->size(); ++i) {
     acc += (*scratch)[i];
-    if (u < acc) return i;
+    if (target < acc) return i;
   }
   return scratch->size() - 1;  // guard against rounding at the top end
 }

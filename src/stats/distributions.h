@@ -66,6 +66,13 @@ size_t SampleDiscreteLog(Rng* rng, const std::vector<double>& log_weights);
 size_t SampleDiscreteLog(Rng* rng, std::span<const double> log_weights,
                          std::vector<double>* scratch);
 
+/// The scratch overload's draw given its uniform `u` in [0, 1) up front:
+/// SampleDiscreteLog(rng, w, s) == SampleDiscreteLogUniform(
+/// rng->NextDouble(), w, s), bit for bit. Lets a caller draw its uniforms
+/// ahead of the weights they will select from.
+size_t SampleDiscreteLogUniform(double u, std::span<const double> log_weights,
+                                std::vector<double>* scratch);
+
 // --- Log densities ----------------------------------------------------------
 
 /// log N(x | mu, sigma).

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "core/dpmhbp.h"
@@ -200,6 +201,21 @@ TEST(DpmhbpTest, ConfigValidation) {
   config.auxiliary_components = 0;
   DpmhbpModel m2(config);
   EXPECT_FALSE(m2.Fit(shared.cwm_input).ok());
+  // Non-finite or non-positive concentrations fail cleanly, not by abort.
+  const double kNaN = std::nan("");
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (double bad : {0.0, -1.0, kNaN, kInf}) {
+    config = FastConfig();
+    config.hierarchy.c = bad;
+    EXPECT_EQ(DpmhbpModel(config).Fit(shared.cwm_input).code(),
+              StatusCode::kInvalidArgument)
+        << "c=" << bad;
+    config = FastConfig();
+    config.hierarchy.c0 = bad;
+    EXPECT_EQ(DpmhbpModel(config).Fit(shared.cwm_input).code(),
+              StatusCode::kInvalidArgument)
+        << "c0=" << bad;
+  }
 }
 
 TEST(DpmhbpTest, ScoreBeforeFitFails) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "core/hbp.h"
@@ -175,6 +176,30 @@ TEST(HbpModelTest, ScoreBeforeFitFails) {
   const auto& shared = GetSharedRegion();
   HbpModel model(GroupingScheme::kMaterial);
   EXPECT_FALSE(model.ScorePipes(shared.cwm_input).ok());
+}
+
+TEST(HbpModelTest, ConfigValidation) {
+  // Non-finite or non-positive concentrations (including the improper
+  // prior c0 = 0) fail cleanly, not by abort or a silent fit.
+  const auto& shared = GetSharedRegion();
+  const double kNaN = std::nan("");
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (double bad : {0.0, -1.0, kNaN, kInf}) {
+    HierarchyConfig h = FastHierarchy();
+    h.c = bad;
+    EXPECT_EQ(HbpModel(GroupingScheme::kMaterial, h)
+                  .Fit(shared.cwm_input)
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "c=" << bad;
+    h = FastHierarchy();
+    h.c0 = bad;
+    EXPECT_EQ(HbpModel(GroupingScheme::kMaterial, h)
+                  .Fit(shared.cwm_input)
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "c0=" << bad;
+  }
 }
 
 TEST(HbpModelTest, TracesSupportDiagnostics) {
