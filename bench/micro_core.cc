@@ -143,6 +143,14 @@ static void BM_GenerateTinyRegion(benchmark::State& state) {
 }
 BENCHMARK(BM_GenerateTinyRegion)->Unit(benchmark::kMillisecond);
 
+static void BM_GenerateRegionA(benchmark::State& state) {
+  for (auto _ : state) {
+    auto dataset = data::GenerateRegion(data::RegionConfig::RegionA());
+    benchmark::DoNotOptimize(dataset.ok());
+  }
+}
+BENCHMARK(BM_GenerateRegionA)->Unit(benchmark::kMillisecond);
+
 // --- Likelihood kernels -----------------------------------------------------
 
 static void BM_LogMarginalNoBinom(benchmark::State& state) {

@@ -1,6 +1,7 @@
 #include "common/flags.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/strings.h"
 
@@ -67,6 +68,17 @@ Result<long long> CommandLine::GetInt(const std::string& key,
                                    parsed.status().message());
   }
   return *parsed;
+}
+
+Result<int> CommandLine::GetInt32(const std::string& key, int fallback) const {
+  PIPERISK_ASSIGN_OR_RETURN(long long value, GetInt(key, fallback));
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument("flag --" + key + ": " +
+                                   std::to_string(value) +
+                                   " is out of range for an int");
+  }
+  return static_cast<int>(value);
 }
 
 bool CommandLine::GetBool(const std::string& key, bool fallback) const {

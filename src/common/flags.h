@@ -31,6 +31,9 @@ class CommandLine {
   /// Typed getters; fail on parse errors, return fallback when absent.
   Result<double> GetDouble(const std::string& key, double fallback) const;
   Result<long long> GetInt(const std::string& key, long long fallback) const;
+  /// GetInt narrowed to int; fails, naming the flag, when the value is
+  /// outside int's range instead of silently truncating it.
+  Result<int> GetInt32(const std::string& key, int fallback) const;
   bool GetBool(const std::string& key, bool fallback) const;
 
   /// All flags that were provided but are not in `known` (for strict

@@ -1,8 +1,10 @@
 #include "data/failure_simulator.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
+#include "common/trace.h"
 #include "data/network_generator.h"
 #include "stats/distributions.h"
 #include "stats/rng.h"
@@ -152,6 +154,36 @@ double HiddenSegmentFactor(std::uint64_t seed, net::SegmentId segment_id) {
   return std::exp(0.35 * z - 0.061);  // mean ~= 1
 }
 
+/// The year-independent factors of one segment's raw intensity. The
+/// per-year product is base * age, then each of `tail` in turn, always in
+/// this order: floating-point products are not associative, so reordering
+/// the factors changes the intensities' bits.
+struct SegmentFactors {
+  double base = 0.0;  ///< base_per_km * len_km
+  /// Corrosion, expansive clay, traffic, geology, diameter, cohort, hidden.
+  std::array<double, 7> tail{};
+};
+
+SegmentFactors FactorsOf(const net::Pipe& pipe,
+                         const net::PipeSegment& segment, double cohort,
+                         std::uint64_t seed) {
+  const bool critical = pipe.IsCritical();
+  const double base_per_km = critical ? 0.040 : 0.32;
+  const double len_km = segment.LengthM() / 1000.0;
+  return {base_per_km * len_km,
+          {CorrosionMultiplier(pipe, segment),
+           ExpansiveClayMultiplier(pipe, segment),
+           TrafficMultiplier(segment, critical), GeologyMultiplier(segment),
+           DiameterMultiplier(pipe), cohort,
+           HiddenSegmentFactor(seed, segment.id)}};
+}
+
+double YearIntensity(const SegmentFactors& f, double age_multiplier) {
+  double h = f.base * age_multiplier;
+  for (double factor : f.tail) h *= factor;
+  return h;
+}
+
 }  // namespace
 
 double FailureSimulator::RawIntensity(const net::Network& network,
@@ -162,44 +194,86 @@ double FailureSimulator::RawIntensity(const net::Network& network,
   const net::Pipe& pipe = **pipe_result;
   int age = year - pipe.laid_year;
   if (age < 0) return 0.0;
-  bool critical = pipe.IsCritical();
-  double base_per_km = critical ? 0.040 : 0.32;
-  double len_km = segment.LengthM() / 1000.0;
-  return base_per_km * len_km * AgeMultiplier(pipe, age) *
-         CorrosionMultiplier(pipe, segment) *
-         ExpansiveClayMultiplier(pipe, segment) *
-         TrafficMultiplier(segment, critical) * GeologyMultiplier(segment) *
-         DiameterMultiplier(pipe) * CohortMultiplier(pipe.id) *
-         HiddenSegmentFactor(config_.seed, segment.id);
+  return YearIntensity(
+      FactorsOf(pipe, segment, CohortMultiplier(pipe.id), config_.seed),
+      AgeMultiplier(pipe, age));
+}
+
+FailureSimulator::IntensityTable FailureSimulator::BuildIntensityTable(
+    const net::Network& network) const {
+  IntensityTable table;
+  table.years = std::max(config_.observe_last - config_.observe_first + 1, 0);
+  const std::vector<net::PipeSegment>& segments = network.segments();
+  table.raw.assign(segments.size() * static_cast<size_t>(table.years), 0.0);
+  table.critical.assign(segments.size(), 0);
+  // Consecutive segments of one pipe (the generator stores a pipe's
+  // segments together) share its lookup, cohort and per-year age factors.
+  const net::Pipe* pipe = nullptr;
+  double cohort = 0.0;
+  std::vector<double> age_factor(static_cast<size_t>(table.years));
+  for (size_t i = 0; i < segments.size(); ++i) {
+    const net::PipeSegment& s = segments[i];
+    if (pipe == nullptr || pipe->id != s.pipe_id) {
+      auto pipe_result = network.FindPipe(s.pipe_id);
+      pipe = pipe_result.ok() ? *pipe_result : nullptr;
+      if (pipe == nullptr) continue;
+      cohort = CohortMultiplier(pipe->id);
+      for (int k = 0; k < table.years; ++k) {
+        const int age = config_.observe_first + k - pipe->laid_year;
+        age_factor[k] = age >= 0 ? AgeMultiplier(*pipe, age) : 0.0;
+      }
+    }
+    table.critical[i] = pipe->IsCritical();
+    const SegmentFactors factors = FactorsOf(*pipe, s, cohort, config_.seed);
+    double* row = table.raw.data() + i * static_cast<size_t>(table.years);
+    for (int k = 0; k < table.years; ++k) {
+      if (config_.observe_first + k >= pipe->laid_year) {
+        row[k] = YearIntensity(factors, age_factor[k]);
+      }
+    }
+  }
+  return table;
 }
 
 net::FailureHistory FailureSimulator::SimulatePass(
-    const net::Network& network, const Scales& scales, std::uint64_t salt,
-    double* cwm_count, double* rwm_count) const {
+    const net::Network& network, const IntensityTable& table,
+    const Scales& scales, std::uint64_t salt, double* cwm_count,
+    double* rwm_count) const {
   stats::Rng rng((config_.seed + salt) ^ 0x5851f42d4c957f2dULL,
                  0x14057b7ef767814fULL);
   *cwm_count = 0.0;
   *rwm_count = 0.0;
+  // History escalation: disturbed bedding after each repair raises the
+  // subsequent hazard by escalation^min(prior failures, max_escalated).
+  // Tabulated up to the most failures a segment can have had.
+  std::vector<double> escalation(
+      static_cast<size_t>(
+          std::min(std::max(dynamics_.max_escalated, 0), table.years)) +
+      1);
+  for (size_t k = 0; k < escalation.size(); ++k) {
+    escalation[k] =
+        std::pow(dynamics_.escalation,
+                 std::min(static_cast<int>(k), dynamics_.max_escalated));
+  }
+  const size_t top = escalation.size() - 1;
   net::FailureHistory history;
-  for (const net::PipeSegment& s : network.segments()) {
-    auto pipe = network.FindPipe(s.pipe_id);
-    if (!pipe.ok()) continue;
-    bool critical = (*pipe)->IsCritical();
-    double scale = critical ? scales.cwm : scales.rwm;
-    int prior_failures = 0;
-    for (net::Year y = config_.observe_first; y <= config_.observe_last; ++y) {
-      double h = RawIntensity(network, s, y);
+  const std::vector<net::PipeSegment>& segments = network.segments();
+  for (size_t i = 0; i < segments.size(); ++i) {
+    const net::PipeSegment& s = segments[i];
+    const double* row = table.Row(i);
+    const bool critical = table.critical[i] != 0;
+    const double scale = critical ? scales.cwm : scales.rwm;
+    size_t prior_failures = 0;
+    for (int k = 0; k < table.years; ++k) {
+      const double h = row[k];
       if (h <= 0.0) continue;
-      // History escalation: disturbed bedding after each repair raises the
-      // subsequent hazard.
-      double esc = std::pow(dynamics_.escalation,
-                            std::min(prior_failures, dynamics_.max_escalated));
+      double esc = escalation[std::min(prior_failures, top)];
       double p = -std::expm1(-scale * esc * h);
       if (stats::SampleBernoulli(&rng, p)) {
         net::FailureRecord r;
         r.pipe_id = s.pipe_id;
         r.segment_id = s.id;
-        r.year = y;
+        r.year = config_.observe_first + k;
         double t = rng.NextDouble();
         r.location = net::Point{s.start.x + t * (s.end.x - s.start.x),
                                 s.start.y + t * (s.end.y - s.start.y)};
@@ -215,6 +289,11 @@ net::FailureHistory FailureSimulator::SimulatePass(
 
 FailureSimulator::Scales FailureSimulator::CalibrateScales(
     const net::Network& network) const {
+  return CalibrateScales(network, BuildIntensityTable(network));
+}
+
+FailureSimulator::Scales FailureSimulator::CalibrateScales(
+    const net::Network& network, const IntensityTable& table) const {
   // Fixed point on simulated totals: the escalation dynamics make the
   // expectation history-dependent, so calibration runs the simulator
   // itself. A fixed calibration salt stream keeps this deterministic.
@@ -223,35 +302,33 @@ FailureSimulator::Scales FailureSimulator::CalibrateScales(
       std::max(config_.target_failures_all - config_.target_failures_cwm, 0.0);
   Scales scales;
 
-  // Analytic warm start ignoring escalation.
-  std::vector<double> raw_cwm, raw_rwm;
-  for (const net::PipeSegment& s : network.segments()) {
-    auto pipe = network.FindPipe(s.pipe_id);
-    if (!pipe.ok()) continue;
-    for (net::Year y = config_.observe_first; y <= config_.observe_last; ++y) {
-      double h = RawIntensity(network, s, y);
-      if (h <= 0.0) continue;
-      ((*pipe)->IsCritical() ? raw_cwm : raw_rwm).push_back(h);
-    }
-  }
-  auto warm = [](const std::vector<double>& raw, double target) {
-    if (raw.empty() || target <= 0.0) return 1.0;
+  // Analytic warm start ignoring escalation: fixed-point iterations on the
+  // expected failure totals, summed over the table in segment-year order.
+  auto warm = [&table](bool critical, double target) {
+    if (target <= 0.0) return 1.0;
     double scale = 1.0;
     for (int iter = 0; iter < 8; ++iter) {
       double expected = 0.0;
-      for (double h : raw) expected += -std::expm1(-scale * h);
-      if (expected <= 0.0) break;
+      for (size_t i = 0; i < table.critical.size(); ++i) {
+        if ((table.critical[i] != 0) != critical) continue;
+        const double* row = table.Row(i);
+        for (int k = 0; k < table.years; ++k) {
+          if (row[k] <= 0.0) continue;
+          expected += -std::expm1(-scale * row[k]);
+        }
+      }
+      if (expected <= 0.0) break;  // also when the category is empty
       scale *= target / expected;
     }
     return scale;
   };
-  scales.cwm = warm(raw_cwm, target_cwm);
-  scales.rwm = warm(raw_rwm, target_rwm);
+  scales.cwm = warm(true, target_cwm);
+  scales.rwm = warm(false, target_rwm);
 
   // Simulation-based refinement.
   for (int iter = 0; iter < 5; ++iter) {
     double cwm = 0.0, rwm = 0.0;
-    SimulatePass(network, scales, /*salt=*/1000 + iter, &cwm, &rwm);
+    SimulatePass(network, table, scales, /*salt=*/1000 + iter, &cwm, &rwm);
     if (cwm > 0.0 && target_cwm > 0.0) scales.cwm *= target_cwm / cwm;
     if (rwm > 0.0 && target_rwm > 0.0) scales.rwm *= target_rwm / rwm;
   }
@@ -263,14 +340,26 @@ Result<net::FailureHistory> FailureSimulator::Simulate(
   if (network.num_segments() == 0) {
     return Status::FailedPrecondition("network has no segments");
   }
-  Scales scales = CalibrateScales(network);
+  // One table serves the warm start and all six passes; it is freed when
+  // Simulate returns.
+  IntensityTable table;
+  Scales scales;
+  {
+    telemetry::ScopedSpan span("generate.calibrate");
+    table = BuildIntensityTable(network);
+    scales = CalibrateScales(network, table);
+  }
+  telemetry::ScopedSpan span("generate.simulate");
   double cwm = 0.0, rwm = 0.0;
-  return SimulatePass(network, scales, /*salt=*/0, &cwm, &rwm);
+  return SimulatePass(network, table, scales, /*salt=*/0, &cwm, &rwm);
 }
 
 Result<RegionDataset> GenerateRegion(const RegionConfig& config) {
-  NetworkGenerator generator(config);
-  auto network = generator.Generate();
+  telemetry::ScopedSpan span("generate.region");
+  auto network = [&config] {
+    telemetry::ScopedSpan network_span("generate.network");
+    return NetworkGenerator(config).Generate();
+  }();
   if (!network.ok()) return network.status();
   FailureSimulator simulator(config);
   auto failures = simulator.Simulate(*network);

@@ -1,6 +1,9 @@
 #ifndef PIPERISK_DATA_FAILURE_SIMULATOR_H_
 #define PIPERISK_DATA_FAILURE_SIMULATOR_H_
 
+#include <cstdint>
+#include <vector>
+
 #include "common/result.h"
 #include "data/dataset.h"
 #include "data/generator_config.h"
@@ -52,10 +55,25 @@ class FailureSimulator {
   double RawIntensity(const net::Network& network,
                       const net::PipeSegment& segment, net::Year year) const;
 
+  /// RawIntensity of every segment-year of a network over the observation
+  /// window, each segment's year-independent factors computed once. Row i
+  /// belongs to network.segments()[i]; entry k is year observe_first + k,
+  /// and is 0 before the pipe was laid (or when its pipe is unknown).
+  struct IntensityTable {
+    int years = 0;
+    std::vector<double> raw;             ///< segments x years, row-major
+    std::vector<std::uint8_t> critical;  ///< per segment: pipe is a CWM
+    const double* Row(size_t segment) const {
+      return raw.data() + segment * static_cast<size_t>(years);
+    }
+  };
+  IntensityTable BuildIntensityTable(const net::Network& network) const;
+
   /// The calibrated scales used by the last Simulate call semantics: since
   /// Simulate is const and deterministic, CalibrateScales recomputes them.
   /// Calibration is by fixed-point on *simulated* totals (the escalation
-  /// dynamics make the expectation history-dependent).
+  /// dynamics make the expectation history-dependent). Builds its own
+  /// intensity table.
   struct Scales {
     double cwm = 1.0;
     double rwm = 1.0;
@@ -67,9 +85,14 @@ class FailureSimulator {
   double CohortMultiplier(net::PipeId pipe_id) const;
 
  private:
-  /// One stochastic pass with the given scales; `counts` returns (cwm, rwm)
-  /// failure totals. Used by both calibration and the final simulation.
+  Scales CalibrateScales(const net::Network& network,
+                         const IntensityTable& table) const;
+
+  /// One stochastic pass with the given scales over `network`'s table;
+  /// `counts` returns (cwm, rwm) failure totals. Used by both calibration
+  /// and the final simulation.
   net::FailureHistory SimulatePass(const net::Network& network,
+                                   const IntensityTable& table,
                                    const Scales& scales, std::uint64_t salt,
                                    double* cwm_count, double* rwm_count) const;
 

@@ -139,6 +139,12 @@ Result<net::Network> NetworkGenerator::Generate() const {
   if (config_.laid_last < config_.laid_first) {
     return Status::InvalidArgument("laid-year range is inverted");
   }
+  if (config_.observe_last < config_.observe_first) {
+    return Status::InvalidArgument("observation window is inverted");
+  }
+  if (!(config_.connect_fraction >= 0.0 && config_.connect_fraction <= 1.0)) {
+    return Status::InvalidArgument("connect_fraction must be in [0, 1]");
+  }
   stats::Rng rng(config_.seed, 0x9e3779b97f4a7c15ULL);
   const double side = config_.SideM();
 

@@ -75,6 +75,40 @@ struct SoilProfile {
   bool operator==(const SoilProfile&) const = default;
 };
 
+/// Uniform-grid nearest-point index over a fixed point set, shared by the
+/// soil-zone and intersection layers. The grid (about one point per cell)
+/// is built in the constructor and never changes, so concurrent queries
+/// from pool threads are safe.
+class NearestPointGrid {
+ public:
+  /// The nearest point's index and its distance.
+  struct Hit {
+    size_t index = 0;
+    double distance = 0.0;
+  };
+
+  NearestPointGrid() = default;
+  explicit NearestPointGrid(std::vector<Point> points);
+
+  /// The point nearest to `p`, with ties broken to the lowest index: the
+  /// result of a linear scan that keeps the first strict minimum. When no
+  /// point is at a finite distance (e.g. `p` is not finite) it is index 0
+  /// at +inf. Precondition: the point set is non-empty.
+  Hit Nearest(const Point& p) const;
+
+  const std::vector<Point>& points() const { return points_; }
+  size_t size() const { return points_.size(); }
+
+ private:
+  int CellCoord(double v, double lo, int cells) const;
+
+  std::vector<Point> points_;
+  double cell_ = 1.0;
+  double min_x_ = 0.0, min_y_ = 0.0;
+  int nx_ = 1, ny_ = 1;
+  std::vector<std::vector<size_t>> buckets_;  ///< point indices per cell
+};
+
 /// A spatial index mapping locations to soil profiles.
 ///
 /// The utility's GIS layers partition each local-government area into
@@ -104,7 +138,12 @@ class SoilZoneIndex {
   size_t size() const { return zones_.size(); }
 
  private:
+  /// The nearest zone (lowest index among equidistant sites); null when
+  /// the index is empty.
+  const Zone* NearestZone(const Point& p) const;
+
   std::vector<Zone> zones_;
+  NearestPointGrid sites_;
 };
 
 /// A set of traffic intersections with a nearest-distance query; the
@@ -119,17 +158,11 @@ class IntersectionIndex {
   /// (callers treat that as "no road exposure").
   double NearestDistance(const Point& p) const;
 
-  const std::vector<Point>& intersections() const { return intersections_; }
-  size_t size() const { return intersections_.size(); }
+  const std::vector<Point>& intersections() const { return grid_.points(); }
+  size_t size() const { return grid_.size(); }
 
  private:
-  // Uniform grid buckets for sub-linear nearest queries on large regions.
-  void BuildGrid();
-  std::vector<Point> intersections_;
-  double cell_ = 0.0;
-  double min_x_ = 0.0, min_y_ = 0.0;
-  int nx_ = 0, ny_ = 0;
-  std::vector<std::vector<int>> buckets_;
+  NearestPointGrid grid_;
 };
 
 }  // namespace net

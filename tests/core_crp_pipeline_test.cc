@@ -14,11 +14,9 @@
 #include <limits>
 #include <map>
 #include <span>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "common/json.h"
 #include "common/telemetry.h"
 #include "common/trace.h"
 #include "core/dpmhbp.h"
@@ -272,25 +270,6 @@ TEST(CrpPipelineTest, SharedRegionCacheTalliesMatchSerialLoop) {
 
 // --- Sweep sub-spans --------------------------------------------------------------
 
-struct SpanEvent {
-  std::string name;
-  double tid, ts, end;
-};
-
-std::vector<SpanEvent> TracedSpans() {
-  std::ostringstream out;
-  telemetry::WriteTraceJson(out);
-  auto doc = json::Parse(out.str());
-  PIPERISK_CHECK(doc.ok()) << doc.status().ToString();
-  std::vector<SpanEvent> spans;
-  for (const json::Value& e : doc->Find("traceEvents")->AsArray()) {
-    const double ts = e.Find("ts")->AsNumber();
-    spans.push_back({e.Find("name")->AsString(), e.Find("tid")->AsNumber(),
-                     ts, ts + e.Find("dur")->AsNumber()});
-  }
-  return spans;
-}
-
 TEST(CrpPipelineTest, SweepSubSpansOncePerSweepInsideTheSweep) {
   const ModelInput input = SyntheticInput(1500, 21);
   for (int threads : {1, 4}) {
@@ -304,9 +283,9 @@ TEST(CrpPipelineTest, SweepSubSpansOncePerSweepInsideTheSweep) {
 
     const char* kPhases[] = {"dpmhbp.prefetch", "dpmhbp.crp",
                              "dpmhbp.metropolis", "dpmhbp.finish"};
-    std::vector<SpanEvent> sweep_spans;
-    std::map<std::string, std::vector<SpanEvent>> phase_spans;
-    for (const SpanEvent& e : TracedSpans()) {
+    std::vector<testutil::SpanEvent> sweep_spans;
+    std::map<std::string, std::vector<testutil::SpanEvent>> phase_spans;
+    for (const testutil::SpanEvent& e : testutil::TracedSpans()) {
       if (e.name == "dpmhbp.sweep") sweep_spans.push_back(e);
       for (const char* phase : kPhases) {
         if (e.name == phase) phase_spans[phase].push_back(e);
@@ -320,10 +299,11 @@ TEST(CrpPipelineTest, SweepSubSpansOncePerSweepInsideTheSweep) {
     // Spans are recorded at scope exit, so the i-th of each name belongs
     // to the i-th sweep: each phase nests inside it, in phase order.
     for (int i = 0; i < sweeps; ++i) {
-      const SpanEvent& sweep = sweep_spans[static_cast<size_t>(i)];
+      const testutil::SpanEvent& sweep = sweep_spans[static_cast<size_t>(i)];
       double prev_end = sweep.ts;
       for (const char* phase : kPhases) {
-        const SpanEvent& p = phase_spans[phase][static_cast<size_t>(i)];
+        const testutil::SpanEvent& p =
+            phase_spans[phase][static_cast<size_t>(i)];
         EXPECT_EQ(p.tid, sweep.tid) << phase;
         EXPECT_GE(p.ts, prev_end) << phase << " sweep=" << i;
         EXPECT_LE(p.end, sweep.end) << phase << " sweep=" << i;

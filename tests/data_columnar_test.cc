@@ -261,6 +261,27 @@ TEST(ShardedDatasetTest, GenerateIsDeterministicAcrossThreadCounts) {
             ReadBytes(dir_b + "/" + kManifestFileName));
 }
 
+TEST(ShardedDatasetTest, GeneratedBytesMatchGolden) {
+  // FNV-1a over every shard's bytes, then the manifest's: pins each
+  // generated bit of a 3-region dataset at one and at four threads.
+  for (int threads : {1, 4}) {
+    const std::string dir =
+        TempShardDir(("golden" + std::to_string(threads)).c_str());
+    ShardedGenerateOptions options = SmallOptions(dir, 3);
+    options.pipes_per_region = 2000;
+    options.threads = threads;
+    auto summary = GenerateShardedDataset(options);
+    ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+    std::uint64_t hash = testutil::Fnv1a("");
+    for (int i = 0; i < 3; ++i) {
+      hash = testutil::Fnv1a(ReadBytes(dir + "/" + ShardFileName(i)), hash);
+    }
+    hash = testutil::Fnv1a(ReadBytes(dir + "/" + kManifestFileName), hash);
+    EXPECT_EQ(hash, 0xC7FDFE0BDA31DD89ULL) << "threads=" << threads;
+    std::filesystem::remove_all(dir);
+  }
+}
+
 TEST(ShardedDatasetTest, OpenStreamsShardsInOrder) {
   const std::string dir = TempShardDir("stream");
   auto summary = GenerateShardedDataset(SmallOptions(dir, 4));

@@ -3,16 +3,29 @@
 // heterogeneity), waste-water fields, and the temporal split builders.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <set>
+#include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
+#include "common/trace.h"
+#include "data/csv_io.h"
 #include "data/failure_simulator.h"
 #include "data/network_generator.h"
 #include "data/split.h"
 #include "data/wastewater.h"
+#include "tests/test_util.h"
 
 namespace piperisk {
 namespace data {
@@ -152,6 +165,25 @@ TEST(NetworkGeneratorTest, RejectsBadConfig) {
   config = SmallConfig(8);
   config.laid_last = config.laid_first - 10;
   EXPECT_FALSE(NetworkGenerator(config).Generate().ok());
+  // The intensity table is sized by the observation window.
+  config = SmallConfig(8);
+  config.observe_last = config.observe_first - 1;
+  EXPECT_EQ(NetworkGenerator(config).Generate().status().code(),
+            StatusCode::kInvalidArgument);
+  for (double bad : {-1.0, 1.5, std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    config = SmallConfig(8);
+    config.connect_fraction = bad;
+    EXPECT_EQ(NetworkGenerator(config).Generate().status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+  for (double edge : {0.0, 1.0}) {
+    config = SmallConfig(8);
+    config.connect_fraction = edge;
+    EXPECT_TRUE(NetworkGenerator(config).Generate().ok()) << edge;
+  }
 }
 
 // --- FailureSimulator ---------------------------------------------------------
@@ -230,6 +262,49 @@ TEST(FailureSimulatorTest, IntensityIncreasesWithAge) {
   EXPECT_EQ(simulator.RawIntensity(*network, s0, (*p0)->laid_year - 1), 0.0);
 }
 
+TEST(FailureSimulatorTest, IntensityTableMatchesRawIntensityBitForBit) {
+  RegionConfig config = RegionConfig::Tiny(5);
+  config.laid_last = 2005;  // some pipes are laid inside the window
+  auto network = NetworkGenerator(config).Generate();
+  ASSERT_TRUE(network.ok());
+  FailureSimulator simulator(config);
+  const FailureSimulator::IntensityTable table =
+      simulator.BuildIntensityTable(*network);
+  ASSERT_EQ(table.years, config.observe_last - config.observe_first + 1);
+  ASSERT_EQ(table.critical.size(), network->num_segments());
+  ASSERT_EQ(table.raw.size(), network->num_segments() * table.years);
+  int unlaid = 0;
+  std::uint64_t hash = testutil::Fnv1a("");
+  for (size_t i = 0; i < network->num_segments(); ++i) {
+    const net::PipeSegment& s = network->segments()[i];
+    const net::Pipe& pipe = **network->FindPipe(s.pipe_id);
+    EXPECT_EQ(table.critical[i] != 0, pipe.IsCritical());
+    for (int k = 0; k < table.years; ++k) {
+      const double raw =
+          simulator.RawIntensity(*network, s, config.observe_first + k);
+      const double entry = table.Row(i)[k];
+      ASSERT_EQ(std::memcmp(&raw, &entry, sizeof(double)), 0)
+          << "segment " << s.id << " year " << config.observe_first + k;
+      hash = testutil::Fnv1a(
+          std::string_view(reinterpret_cast<const char*>(&entry), 8), hash);
+      if (config.observe_first + k < pipe.laid_year) {
+        EXPECT_EQ(entry, 0.0);
+        ++unlaid;
+      } else {
+        EXPECT_GT(entry, 0.0);
+      }
+    }
+  }
+  EXPECT_GT(unlaid, 0);
+  // Generated bytes hide ulp-level changes (a Bernoulli draw rarely lands
+  // within an ulp of p), so the intensities' and calibrated scales' own bit
+  // patterns are pinned too, as computed by per-year RawIntensity calls.
+  EXPECT_EQ(hash, 0xCC6A422769F4E800ULL);
+  const FailureSimulator::Scales scales = simulator.CalibrateScales(*network);
+  EXPECT_EQ(scales.cwm, 0x1.60c519ccfe95bp+0);
+  EXPECT_EQ(scales.rwm, 0x1.c92fc0ea6e5d8p-3);
+}
+
 TEST(FailureSimulatorTest, CohortMultiplierDeterministicAndHeterogeneous) {
   RegionConfig config = SmallConfig(14);
   FailureSimulator simulator(config);
@@ -277,6 +352,68 @@ TEST(FailureSimulatorTest, EscalationRaisesRepeatFailures) {
   double share_strong =
       static_cast<double>(rep_strong) / std::max(seg_strong, 1);
   EXPECT_GT(share_strong, share_none);
+}
+
+// --- Generated-byte goldens -------------------------------------------------------
+//
+// FNV-1a hashes of whole CSV bundles (meta, pipes, segments, failures, in
+// that order). Any change to a generated bit -- network geometry, soil and
+// traffic features, or the failure log -- fails here.
+
+std::uint64_t BundleHash(const RegionConfig& config, const char* name) {
+  const std::string dir = testing::TempDir() + "/piperisk_golden_" + name +
+                          "_" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  auto dataset = GenerateRegion(config);
+  EXPECT_TRUE(dataset.ok()) << dataset.status().ToString();
+  if (!dataset.ok()) return 0;
+  const std::string prefix = dir + "/bundle";
+  EXPECT_TRUE(SaveRegionDataset(*dataset, prefix).ok());
+  std::uint64_t hash = testutil::Fnv1a("");
+  for (const char* part : {"_meta.csv", "_pipes.csv", "_segments.csv",
+                           "_failures.csv"}) {
+    std::ifstream in(prefix + part, std::ios::binary);
+    hash = testutil::Fnv1a(std::string(std::istreambuf_iterator<char>(in),
+                                       std::istreambuf_iterator<char>()),
+                           hash);
+  }
+  std::filesystem::remove_all(dir);
+  return hash;
+}
+
+TEST(GeneratorGoldenTest, TinyBundles) {
+  EXPECT_EQ(BundleHash(RegionConfig::Tiny(1), "tiny1"), 0x38400E0865A02F1FULL);
+  EXPECT_EQ(BundleHash(RegionConfig::Tiny(2), "tiny2"), 0x30FF1790BB7A2431ULL);
+  RegionConfig connected = RegionConfig::Tiny(1);
+  connected.connect_fraction = 0.3;
+  EXPECT_EQ(BundleHash(connected, "connected"), 0x7D1666B263A950B5ULL);
+}
+
+TEST(GeneratorGoldenTest, RegionABundle) {
+  EXPECT_EQ(BundleHash(RegionConfig::RegionA(), "a"), 0xA3C1746EF5A796DDULL);
+}
+
+TEST(GenerateRegionTest, SubSpansOncePerRegionInsideTheRegionSpan) {
+  telemetry::StartTracing();
+  ASSERT_TRUE(GenerateRegion(RegionConfig::Tiny(3)).ok());
+  telemetry::StopTracing();
+  std::map<std::string, std::vector<testutil::SpanEvent>> spans;
+  for (const testutil::SpanEvent& e : testutil::TracedSpans()) {
+    spans[e.name].push_back(e);
+  }
+  ASSERT_EQ(spans["generate.region"].size(), 1u);
+  const testutil::SpanEvent& region = spans["generate.region"][0];
+  double prev_end = region.ts;
+  for (const char* phase :
+       {"generate.network", "generate.calibrate", "generate.simulate"}) {
+    ASSERT_EQ(spans[phase].size(), 1u) << phase;
+    const testutil::SpanEvent& p = spans[phase][0];
+    EXPECT_EQ(p.tid, region.tid) << phase;
+    EXPECT_GE(p.ts, prev_end) << phase;
+    EXPECT_LE(p.end, region.end) << phase;
+    prev_end = p.end;
+  }
 }
 
 // --- Wastewater ------------------------------------------------------------------

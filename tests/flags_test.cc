@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/flags.h"
 
 namespace piperisk {
@@ -51,6 +53,21 @@ TEST(CommandLineTest, TypedGetterRejectsGarbage) {
   auto cl = MustParse({"x", "--rate", "fast"});
   EXPECT_FALSE(cl.GetDouble("rate", 0.0).ok());
   EXPECT_FALSE(cl.GetInt("rate", 0).ok());
+}
+
+TEST(CommandLineTest, GetInt32RejectsValuesOutsideIntRange) {
+  auto cl = MustParse({"x", "--pipes", "4294967297", "--regions",
+                       "-2147483649", "--max", "2147483647", "--min",
+                       "-2147483648", "--rate", "fast"});
+  auto pipes = cl.GetInt32("pipes", 0);
+  ASSERT_FALSE(pipes.ok());
+  EXPECT_EQ(pipes.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(pipes.status().message().find("--pipes"), std::string::npos);
+  EXPECT_FALSE(cl.GetInt32("regions", 0).ok());
+  EXPECT_EQ(*cl.GetInt32("max", 0), 2147483647);
+  EXPECT_EQ(*cl.GetInt32("min", 0), -2147483647 - 1);
+  EXPECT_EQ(*cl.GetInt32("missing", 7), 7);
+  EXPECT_FALSE(cl.GetInt32("rate", 0).ok());
 }
 
 TEST(CommandLineTest, RejectsBareDoubleDash) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "net/failure.h"
 #include "net/geometry.h"
@@ -122,6 +124,96 @@ TEST(SoilZoneIndexTest, EmptyIndexFails) {
   SoilZoneIndex index;
   EXPECT_FALSE(index.ZoneAt({0, 0}).ok());
   EXPECT_FALSE(index.ProfileAt({0, 0}).ok());
+}
+
+// Reference for the grid search: a linear scan in which the first zone at
+// the strictly smallest distance wins.
+size_t LinearNearestZone(const std::vector<SoilZoneIndex::Zone>& zones,
+                         const Point& p) {
+  double best = std::numeric_limits<double>::infinity();
+  size_t best_index = 0;
+  for (size_t i = 0; i < zones.size(); ++i) {
+    double d = Distance(zones[i].site, p);
+    if (d < best) {
+      best = d;
+      best_index = i;
+    }
+  }
+  return best_index;
+}
+
+TEST(SoilZoneIndexTest, GridMatchesLinearScanIncludingTies) {
+  stats::Rng rng(31);
+  std::vector<SoilZoneIndex::Zone> zones;
+  auto add_zone = [&](Point site) {
+    SoilZoneIndex::Zone z;
+    z.id = 1000 + static_cast<ZoneId>(zones.size());
+    z.site = site;
+    z.profile.corrosiveness =
+        static_cast<SoilCorrosiveness>(rng.NextBounded(kNumCorrosiveness));
+    z.profile.expansiveness =
+        static_cast<SoilExpansiveness>(rng.NextBounded(kNumExpansiveness));
+    z.profile.geology = static_cast<SoilGeology>(rng.NextBounded(kNumGeology));
+    z.profile.landscape =
+        static_cast<SoilLandscape>(rng.NextBounded(kNumLandscape));
+    zones.push_back(z);
+  };
+  // Random sites, integer-lattice sites (equidistant from many integer
+  // queries) and exact duplicates of earlier sites, all interleaved.
+  for (int i = 0; i < 120; ++i) {
+    add_zone({rng.NextUniform(0, 5000), rng.NextUniform(0, 5000)});
+    if (i % 3 == 0) {
+      add_zone({200.0 * static_cast<double>(rng.NextBounded(26)),
+                200.0 * static_cast<double>(rng.NextBounded(26))});
+    }
+    if (i % 4 == 0) add_zone(zones[rng.NextBounded(zones.size())].site);
+  }
+  const SoilZoneIndex index(zones);
+  const IntersectionIndex intersections([&] {
+    std::vector<Point> sites;
+    for (const auto& z : zones) sites.push_back(z.site);
+    return sites;
+  }());
+
+  std::vector<Point> queries;
+  for (int i = 0; i < 10000; ++i) {
+    switch (i % 5) {
+      case 0:  // inside and well outside the sites' bounding box
+        queries.push_back(
+            {rng.NextUniform(-2000, 7000), rng.NextUniform(-2000, 7000)});
+        break;
+      case 1:  // integer lattice: exact distance ties between lattice sites
+        queries.push_back({100.0 * static_cast<double>(rng.NextBounded(56)),
+                           100.0 * static_cast<double>(rng.NextBounded(56))});
+        break;
+      case 2:  // exactly on a (possibly duplicated) site
+        queries.push_back(zones[rng.NextBounded(zones.size())].site);
+        break;
+      case 3:  // far away
+        queries.push_back(
+            {rng.NextUniform(-1e7, 1e7), rng.NextUniform(-1e7, 1e7)});
+        break;
+      default:
+        queries.push_back(
+            {rng.NextUniform(0, 5000), rng.NextUniform(0, 5000)});
+        break;
+    }
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (Point q : {Point{nan, 10}, Point{10, nan}, Point{inf, 0},
+                  Point{-inf, -inf}, Point{1e300, -1e300}}) {
+    queries.push_back(q);
+  }
+
+  for (const Point& q : queries) {
+    const size_t ref = LinearNearestZone(zones, q);
+    ASSERT_EQ(*index.ZoneAt(q), zones[ref].id) << q.x << "," << q.y;
+    ASSERT_EQ(*index.ProfileAt(q), zones[ref].profile) << q.x << "," << q.y;
+    if (std::isfinite(q.x) && std::isfinite(q.y)) {
+      ASSERT_EQ(intersections.NearestDistance(q), Distance(zones[ref].site, q));
+    }
+  }
 }
 
 TEST(IntersectionIndexTest, MatchesBruteForce) {

@@ -5,10 +5,16 @@
 // its prebuilt ModelInput, constructed once per process (generation is the
 // slow part of these tests).
 
+#include <cstdint>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/json.h"
 #include "common/logging.h"
+#include "common/trace.h"
 #include "core/hbp.h"
 #include "core/model.h"
 #include "data/failure_simulator.h"
@@ -43,6 +49,39 @@ inline const SharedRegion& GetSharedRegion() {
     return s;
   }();
   return *shared;
+}
+
+/// FNV-1a over `bytes`, continuing from `hash`: the generated-byte goldens
+/// hash whole files with it.
+inline std::uint64_t Fnv1a(std::string_view bytes,
+                           std::uint64_t hash = 0xcbf29ce484222325ULL) {
+  for (unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+/// One recorded trace span, in trace microseconds.
+struct SpanEvent {
+  std::string name;
+  double tid, ts, end;
+};
+
+/// The spans collected since the last telemetry::StartTracing(), in
+/// recording (scope-exit) order.
+inline std::vector<SpanEvent> TracedSpans() {
+  std::ostringstream out;
+  telemetry::WriteTraceJson(out);
+  auto doc = json::Parse(out.str());
+  PIPERISK_CHECK(doc.ok()) << doc.status().ToString();
+  std::vector<SpanEvent> spans;
+  for (const json::Value& e : doc->Find("traceEvents")->AsArray()) {
+    const double ts = e.Find("ts")->AsNumber();
+    spans.push_back({e.Find("name")->AsString(), e.Find("tid")->AsNumber(),
+                     ts, ts + e.Find("dur")->AsNumber()});
+  }
+  return spans;
 }
 
 /// Test-time hierarchy settings: short chains that still mix on the small

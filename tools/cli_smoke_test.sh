@@ -389,5 +389,27 @@ if "$BIN" frobnicate 2>/dev/null; then
   echo "expected usage error on unknown command" >&2
   exit 1
 fi
+# Integer flags are range-checked, never truncated to int.
+if "$BIN" generate --region tiny --pipes 4294967297 --out trunc \
+    2>/dev/null; then
+  echo "expected --pipes beyond int range to fail" >&2
+  exit 1
+fi
+if "$BIN" generate --regions 4294967298 --out-dir trunc_shards 2>/dev/null; then
+  echo "expected --regions beyond int range to fail" >&2
+  exit 1
+fi
+for bad in -1 1.5 nan inf; do
+  if "$BIN" generate --region tiny --connect "$bad" --out connect_bad \
+      2>/dev/null; then
+    echo "expected --connect $bad to fail" >&2
+    exit 1
+  fi
+  if "$BIN" generate --regions 1 --pipes 100 --connect "$bad" \
+      --out-dir connect_bad_shards 2>/dev/null; then
+    echo "expected sharded --connect $bad to fail" >&2
+    exit 1
+  fi
+done
 
 echo "CLI smoke test passed"

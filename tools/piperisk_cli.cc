@@ -229,25 +229,19 @@ Result<core::ModelInput> LoadInput(const CommandLine& cl,
 
 Result<core::HierarchyConfig> HierarchyFlags(const CommandLine& cl) {
   core::HierarchyConfig h;
-  PIPERISK_ASSIGN_OR_RETURN(long long burn, cl.GetInt("burn", h.burn_in));
-  PIPERISK_ASSIGN_OR_RETURN(long long samples,
-                            cl.GetInt("samples", h.samples));
+  PIPERISK_ASSIGN_OR_RETURN(h.burn_in, cl.GetInt32("burn", h.burn_in));
+  PIPERISK_ASSIGN_OR_RETURN(h.samples, cl.GetInt32("samples", h.samples));
   PIPERISK_ASSIGN_OR_RETURN(long long seed, cl.GetInt("seed", 42));
-  PIPERISK_ASSIGN_OR_RETURN(long long chains,
-                            cl.GetInt("chains", h.num_chains));
-  PIPERISK_ASSIGN_OR_RETURN(long long threads,
-                            cl.GetInt("threads", h.num_threads));
-  h.burn_in = static_cast<int>(burn);
-  h.samples = static_cast<int>(samples);
+  PIPERISK_ASSIGN_OR_RETURN(h.num_chains,
+                            cl.GetInt32("chains", h.num_chains));
+  PIPERISK_ASSIGN_OR_RETURN(h.num_threads,
+                            cl.GetInt32("threads", h.num_threads));
   h.seed = static_cast<std::uint64_t>(seed);
-  h.num_chains = static_cast<int>(chains);
-  h.num_threads = static_cast<int>(threads);
   if (h.num_chains < 1) {
     return Status::InvalidArgument("--chains must be >= 1");
   }
-  PIPERISK_ASSIGN_OR_RETURN(long long sweep_threads,
-                            cl.GetInt("sweep-threads", h.sweep_threads));
-  h.sweep_threads = static_cast<int>(sweep_threads);
+  PIPERISK_ASSIGN_OR_RETURN(h.sweep_threads,
+                            cl.GetInt32("sweep-threads", h.sweep_threads));
   h.fast_sweeps = cl.GetBool("fast-sweeps", h.fast_sweeps);
   std::string simd = ToLowerAscii(cl.GetString("simd", "auto"));
   if (simd == "auto") {
@@ -259,8 +253,7 @@ Result<core::HierarchyConfig> HierarchyFlags(const CommandLine& cl) {
   }
   h.checkpoint.dir = cl.GetString("checkpoint-dir", "");
   PIPERISK_ASSIGN_OR_RETURN(
-      long long every, cl.GetInt("checkpoint-every", h.checkpoint.every));
-  h.checkpoint.every = static_cast<int>(every);
+      h.checkpoint.every, cl.GetInt32("checkpoint-every", h.checkpoint.every));
   h.checkpoint.resume = cl.GetBool("resume", false);
   if (h.checkpoint.resume && h.checkpoint.dir.empty()) {
     return Status::InvalidArgument("--resume requires --checkpoint-dir");
@@ -268,9 +261,8 @@ Result<core::HierarchyConfig> HierarchyFlags(const CommandLine& cl) {
   // Hidden crash-simulation hook for the smoke test: stop every chain after
   // N sweeps and exit non-zero, leaving the snapshots a kill -9 would leave.
   PIPERISK_ASSIGN_OR_RETURN(
-      long long halt,
-      cl.GetInt("checkpoint-halt-after", h.checkpoint.halt_after_sweeps));
-  h.checkpoint.halt_after_sweeps = static_cast<int>(halt);
+      h.checkpoint.halt_after_sweeps,
+      cl.GetInt32("checkpoint-halt-after", h.checkpoint.halt_after_sweeps));
   // Live progress file (observational only; never fingerprinted, fits stay
   // bit-identical with heartbeats on or off).
   h.heartbeat.path = cl.GetString("heartbeat-file", "");
@@ -286,18 +278,18 @@ Result<core::HierarchyConfig> HierarchyFlags(const CommandLine& cl) {
 // --- generate ---------------------------------------------------------------
 
 Result<int> ShardWindowFlag(const CommandLine& cl) {
-  PIPERISK_ASSIGN_OR_RETURN(long long window, cl.GetInt("shard-window", 4));
+  PIPERISK_ASSIGN_OR_RETURN(int window, cl.GetInt32("shard-window", 4));
   if (window <= 0) {
     return Status::InvalidArgument("--shard-window must be >= 1");
   }
-  return static_cast<int>(window);
+  return window;
 }
 
 int CmdGenerateSharded(const CommandLine& cl) {
   data::ShardedGenerateOptions options;
-  auto regions = cl.GetInt("regions", options.regions);
+  auto regions = cl.GetInt32("regions", options.regions);
   if (!regions.ok()) return Fail(regions.status());
-  options.regions = static_cast<int>(*regions);
+  options.regions = *regions;
   options.out_dir = cl.GetString("out-dir", "");
   if (options.out_dir.empty()) {
     std::fprintf(stderr, "generate: --regions needs --out-dir DIR\n");
@@ -306,15 +298,15 @@ int CmdGenerateSharded(const CommandLine& cl) {
   auto seed = cl.GetInt("seed", static_cast<long long>(options.seed));
   if (!seed.ok()) return Fail(seed.status());
   options.seed = static_cast<std::uint64_t>(*seed);
-  auto pipes = cl.GetInt("pipes", options.pipes_per_region);
+  auto pipes = cl.GetInt32("pipes", options.pipes_per_region);
   if (!pipes.ok()) return Fail(pipes.status());
-  options.pipes_per_region = static_cast<int>(*pipes);
+  options.pipes_per_region = *pipes;
   auto connect = cl.GetDouble("connect", options.connect_fraction);
   if (!connect.ok()) return Fail(connect.status());
   options.connect_fraction = *connect;
-  auto threads = cl.GetInt("threads", options.threads);
+  auto threads = cl.GetInt32("threads", options.threads);
   if (!threads.ok()) return Fail(threads.status());
-  options.threads = static_cast<int>(*threads);
+  options.threads = *threads;
 
   auto summary = data::GenerateShardedDataset(options);
   if (!summary.ok()) return Fail(summary.status());
@@ -351,9 +343,9 @@ int CmdGenerate(const CommandLine& cl) {
   auto seed = cl.GetInt("seed", static_cast<long long>(config.seed));
   if (!seed.ok()) return Fail(seed.status());
   config.seed = static_cast<std::uint64_t>(*seed);
-  auto pipes = cl.GetInt("pipes", config.num_pipes);
+  auto pipes = cl.GetInt32("pipes", config.num_pipes);
   if (!pipes.ok()) return Fail(pipes.status());
-  config.num_pipes = static_cast<int>(*pipes);
+  config.num_pipes = *pipes;
   auto connect = cl.GetDouble("connect", config.connect_fraction);
   if (!connect.ok()) return Fail(connect.status());
   config.connect_fraction = *connect;
@@ -612,10 +604,10 @@ int EvaluateRanking(const CommandLine& cl,
                     const std::vector<double>& lengths, int test_year) {
   auto scored = eval::ZipScores(scores, failures, lengths);
   if (!scored.ok()) return Fail(scored.status());
-  auto threads = cl.GetInt("threads", 1);
+  auto threads = cl.GetInt32("threads", 1);
   if (!threads.ok()) return Fail(threads.status());
   eval::RankOptions rank_options;
-  rank_options.num_threads = static_cast<int>(*threads);
+  rank_options.num_threads = *threads;
   // One rank index feeds all three metrics; no per-metric re-sort.
   const eval::RankedScores ranked =
       eval::RankedScores::Build(*scored, rank_options);
@@ -775,12 +767,12 @@ int CmdRolling(const CommandLine& cl) {
   if (!category.ok()) return Fail(category.status());
 
   eval::RollingConfig config;
-  auto first = cl.GetInt("first-year", config.first_test_year);
+  auto first = cl.GetInt32("first-year", config.first_test_year);
   if (!first.ok()) return Fail(first.status());
-  config.first_test_year = static_cast<net::Year>(*first);
-  auto last = cl.GetInt("last-year", config.last_test_year);
+  config.first_test_year = *first;
+  auto last = cl.GetInt32("last-year", config.last_test_year);
   if (!last.ok()) return Fail(last.status());
-  config.last_test_year = static_cast<net::Year>(*last);
+  config.last_test_year = *last;
   config.experiment.hierarchy = *hierarchy;
   config.experiment.seed = hierarchy->seed;
   config.experiment.category = *category;
@@ -935,9 +927,9 @@ int CmdPlan(const CommandLine& cl) {
   auto budget = cl.GetDouble("budget", config.annual_budget);
   if (!budget.ok()) return Fail(budget.status());
   config.annual_budget = *budget;
-  auto horizon = cl.GetInt("horizon", config.horizon_years);
+  auto horizon = cl.GetInt32("horizon", config.horizon_years);
   if (!horizon.ok()) return Fail(horizon.status());
-  config.horizon_years = static_cast<int>(*horizon);
+  config.horizon_years = *horizon;
 
   auto plan = eval::PlanRenewals(*input, *scores, config);
   if (!plan.ok()) return Fail(plan.status());
@@ -1010,7 +1002,7 @@ int RunServeLoop(
     std::function<Result<std::shared_ptr<const serve::ScoreSnapshot>>(
         std::uint64_t)>
         reload_fn) {
-  auto port = cl.GetInt("port", 0);
+  auto port = cl.GetInt32("port", 0);
   if (!port.ok()) return Fail(port.status());
   auto seed = cl.GetInt("seed", 42);
   if (!seed.ok()) return Fail(seed.status());
@@ -1018,7 +1010,7 @@ int RunServeLoop(
 
   serve::ServerOptions options;
   options.host = cl.GetString("host", "127.0.0.1");
-  options.port = static_cast<int>(*port);
+  options.port = *port;
   options.seed = static_cast<std::uint64_t>(*seed);
   options.git_describe = PIPERISK_GIT_DESCRIBE;
   options.reload_fn = std::move(reload_fn);
@@ -1040,11 +1032,11 @@ int RunServeLoop(
   // GET /metrics + GET /healthz on its own port. Purely observational.
   std::unique_ptr<serve::MetricsHttpServer> metrics_http;
   if (cl.Has("metrics-port")) {
-    auto metrics_port = cl.GetInt("metrics-port", 0);
+    auto metrics_port = cl.GetInt32("metrics-port", 0);
     if (!metrics_port.ok()) return Fail(metrics_port.status());
     serve::MetricsHttpOptions metrics_options;
     metrics_options.host = options.host;
-    metrics_options.port = static_cast<int>(*metrics_port);
+    metrics_options.port = *metrics_port;
     metrics_options.metadata.command = "serve";
     metrics_options.metadata.seed = options.seed;
     metrics_options.metadata.git_describe = PIPERISK_GIT_DESCRIBE;
@@ -1143,7 +1135,7 @@ int CmdServe(const CommandLine& cl) {
 }
 
 int CmdQuery(const CommandLine& cl) {
-  auto port = cl.GetInt("port", 0);
+  auto port = cl.GetInt32("port", 0);
   if (!port.ok()) return Fail(port.status());
   if (*port <= 0) {
     std::fprintf(stderr, "query: --port PORT is required\n");
@@ -1151,7 +1143,7 @@ int CmdQuery(const CommandLine& cl) {
   }
   std::string host = cl.GetString("host", "127.0.0.1");
   std::string verb = ToLowerAscii(cl.GetString("verb", ""));
-  auto client = serve::Client::Connect(host, static_cast<int>(*port));
+  auto client = serve::Client::Connect(host, *port);
   if (!client.ok()) return Fail(client.status());
 
   if (verb == "ping") {
@@ -1320,12 +1312,12 @@ int WriteMetricsFile(const CommandLine& cl, const std::string& path) {
   auto seed = cl.GetInt("seed", 42);
   if (!seed.ok()) return Fail(seed.status());
   meta.seed = static_cast<std::uint64_t>(*seed);
-  auto chains = cl.GetInt("chains", 1);
+  auto chains = cl.GetInt32("chains", 1);
   if (!chains.ok()) return Fail(chains.status());
-  meta.chains = static_cast<int>(*chains);
-  auto threads = cl.GetInt("threads", 0);
+  meta.chains = *chains;
+  auto threads = cl.GetInt32("threads", 0);
   if (!threads.ok()) return Fail(threads.status());
-  meta.threads = static_cast<int>(*threads);
+  meta.threads = *threads;
   meta.git_describe = PIPERISK_GIT_DESCRIBE;
   std::ofstream file(path, std::ios::trunc);
   if (!file) return Fail(Status::IoError("cannot write " + path));
