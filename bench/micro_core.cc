@@ -203,12 +203,9 @@ BENCHMARK(BM_FillColumnScalar);
 
 static void BM_FillColumnBatch(benchmark::State& state) {
   // The batched column kernel (bit-identical to the scalar one): shared
-  // lgamma ladder + memoised offsets per multiplier group, combine loop
-  // vectorised. simd_off=1 forces the portable combine loop, isolating the
-  // batching win from the AVX2 win.
+  // lgamma ladder + memoised offsets per multiplier group, then a gather +
+  // combine loop.
   const SuffStatFixture& s = GetSuffStatFixture();
-  core::SetSimdMode(state.range(0) == 0 ? core::SimdMode::kAuto
-                                        : core::SimdMode::kOff);
   std::vector<double> col;
   core::SuffStatClasses::ColumnScratch scratch;
   int i = 0;
@@ -220,9 +217,8 @@ static void BM_FillColumnBatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<long>(s.classes.num_classes()));
-  core::SetSimdMode(core::SimdMode::kAuto);
 }
-BENCHMARK(BM_FillColumnBatch)->ArgNames({"simd_off"})->Arg(0)->Arg(1);
+BENCHMARK(BM_FillColumnBatch);
 
 static void BM_FillColumnScalarNoCov(benchmark::State& state) {
   const SuffStatFixture& s = GetNoCovariateSuffStatFixture();
@@ -241,8 +237,6 @@ BENCHMARK(BM_FillColumnScalarNoCov);
 
 static void BM_FillColumnBatchNoCov(benchmark::State& state) {
   const SuffStatFixture& s = GetNoCovariateSuffStatFixture();
-  core::SetSimdMode(state.range(0) == 0 ? core::SimdMode::kAuto
-                                        : core::SimdMode::kOff);
   std::vector<double> col;
   core::SuffStatClasses::ColumnScratch scratch;
   int i = 0;
@@ -254,9 +248,8 @@ static void BM_FillColumnBatchNoCov(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<long>(s.classes.num_classes()));
-  core::SetSimdMode(core::SimdMode::kAuto);
 }
-BENCHMARK(BM_FillColumnBatchNoCov)->ArgNames({"simd_off"})->Arg(0)->Arg(1);
+BENCHMARK(BM_FillColumnBatchNoCov);
 
 // --- CRP weight sweep: naive vs deduplicated --------------------------------
 
@@ -307,7 +300,7 @@ static void BM_CrpWeightLoopDedup(benchmark::State& state) {
 }
 BENCHMARK(BM_CrpWeightLoopDedup)->Unit(benchmark::kMillisecond);
 
-// --- Full sampler fits: deduplicated (default) vs reference -----------------
+// --- Full sampler fits ------------------------------------------------------
 
 static void BM_DpmhbpSweeps(benchmark::State& state) {
   const Fixture& f = GetFixture();
@@ -323,25 +316,10 @@ static void BM_DpmhbpSweeps(benchmark::State& state) {
 }
 BENCHMARK(BM_DpmhbpSweeps)->Arg(5)->Arg(20)->Unit(benchmark::kMillisecond);
 
-static void BM_DpmhbpSweepsNaive(benchmark::State& state) {
-  const Fixture& f = GetFixture();
-  for (auto _ : state) {
-    core::DpmhbpConfig config;
-    config.hierarchy.dedup_suffstats = false;
-    config.hierarchy.burn_in = static_cast<int>(state.range(0));
-    config.hierarchy.samples = static_cast<int>(state.range(0));
-    core::DpmhbpModel model(config);
-    benchmark::DoNotOptimize(model.Fit(f.input).ok());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * state.range(0) *
-                          static_cast<long>(f.input.num_segments()));
-}
-BENCHMARK(BM_DpmhbpSweepsNaive)->Arg(5)->Arg(20)->Unit(benchmark::kMillisecond);
-
 static void BM_DpmhbpSweepThreads(benchmark::State& state) {
-  // Single-chain sweep throughput with within-chain partitioning.
-  // Deterministic mode: scores are bit-identical to sweep_threads=1 (the
-  // wall-clock win is the only difference).
+  // Single-chain sweep throughput with within-chain partitioning. Scores
+  // are bit-identical to sweep_threads=1 (the wall-clock win is the only
+  // difference).
   const Fixture& f = GetFixture();
   for (auto _ : state) {
     core::DpmhbpConfig config;
@@ -363,28 +341,6 @@ BENCHMARK(BM_DpmhbpSweepThreads)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-static void BM_DpmhbpFastSweeps(benchmark::State& state) {
-  // Fast mode on top: the CRP pass itself is sharded (deterministic per
-  // (seed, sweep_threads), statistically gated against the serial sampler).
-  const Fixture& f = GetFixture();
-  for (auto _ : state) {
-    core::DpmhbpConfig config;
-    config.hierarchy.burn_in = 20;
-    config.hierarchy.samples = 20;
-    config.hierarchy.sweep_threads = static_cast<int>(state.range(0));
-    config.hierarchy.fast_sweeps = true;
-    core::DpmhbpModel model(config);
-    benchmark::DoNotOptimize(model.Fit(f.input).ok());
-  }
-  state.SetItemsProcessed(state.iterations() * 40 *
-                          static_cast<long>(f.input.num_segments()));
-}
-BENCHMARK(BM_DpmhbpFastSweeps)
-    ->ArgNames({"sweep_threads"})
-    ->Arg(4)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
 static void BM_HbpFit(benchmark::State& state) {
   const Fixture& f = GetFixture();
   for (auto _ : state) {
@@ -393,17 +349,6 @@ static void BM_HbpFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HbpFit)->Unit(benchmark::kMillisecond);
-
-static void BM_HbpFitNaive(benchmark::State& state) {
-  const Fixture& f = GetFixture();
-  for (auto _ : state) {
-    core::HierarchyConfig h;
-    h.dedup_suffstats = false;
-    core::HbpModel model(core::GroupingScheme::kMaterial, h);
-    benchmark::DoNotOptimize(model.Fit(f.input).ok());
-  }
-}
-BENCHMARK(BM_HbpFitNaive)->Unit(benchmark::kMillisecond);
 
 static void BM_CoxFit(benchmark::State& state) {
   const Fixture& f = GetFixture();

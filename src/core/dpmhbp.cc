@@ -86,33 +86,19 @@ Status DpmhbpModel::Fit(const ModelInput& input) {
   const size_t n = input.num_segments();
   if (n == 0) return Status::InvalidArgument("no segments to fit");
   const HierarchyConfig& h = config_.hierarchy;
-  if (h.samples <= 0) return Status::InvalidArgument("samples must be > 0");
-  PIPERISK_RETURN_IF_ERROR(ValidateConcentrations(h));
-  if (h.num_chains < 1) {
-    return Status::InvalidArgument("num_chains must be >= 1");
-  }
+  PIPERISK_RETURN_IF_ERROR(ValidateHierarchy(h));
   if (config_.auxiliary_components < 1) {
     return Status::InvalidArgument("need >= 1 auxiliary component");
   }
-  if (h.fast_sweeps && !h.dedup_suffstats) {
-    return Status::InvalidArgument("fast_sweeps requires dedup_suffstats");
-  }
-  SetSimdMode(h.simd);
-  // Within-chain partitioning plan: `sweep_threads` resolves once per fit.
-  // Deterministic mode is bit-identical at every setting (the serial path is
-  // taken verbatim at 1); fast mode's shard layout depends on the resolved
-  // count, which the fingerprint then covers.
-  const int sweep_threads = ResolveSweepThreads(h.sweep_threads);
-  const bool use_fast = h.fast_sweeps;
-  // Scheduling width is capped at the machine's real capacity: deterministic
-  // output never depends on how the work is scheduled, so oversubscribing a
-  // small machine would buy pure queue overhead. Fast mode's SHARD count
-  // stays `sweep_threads` regardless (the shard layout is part of the
-  // sampler's definition and must reproduce across machines); only its
-  // execution width is capped.
-  const int exec_threads = std::min(
-      sweep_threads, ThreadPool::Shared().num_workers() + 1);
-  const bool parallel_sweep = use_fast || exec_threads > 1;
+  // Within-chain partitioning: `sweep_threads` resolves once per fit, and
+  // the sweep is bit-identical at every setting. Scheduling width is capped
+  // at the machine's real capacity: output never depends on how the work is
+  // scheduled, so oversubscribing a small machine would buy pure queue
+  // overhead.
+  const int exec_threads =
+      std::min(ResolveSweepThreads(h.sweep_threads),
+               ThreadPool::Shared().num_workers() + 1);
+  const bool parallel_sweep = exec_threads > 1;
 
   // Warm start: usable only when the injected state matches this input's
   // chain count and segment count, with internally consistent group
@@ -190,17 +176,9 @@ Status DpmhbpModel::Fit(const ModelInput& input) {
     }
   }
 
-  // Collapsed-in-rho log likelihood of segment row under group rate qg.
-  // Pure function of read-only state: safe to share across chains.
-  auto seg_loglik = [&](size_t row, double qg) {
-    const auto& c = input.segment_counts[row];
-    double mean = TiltedMean(qg, multipliers[row]);
-    return LogMarginalNoBinom(c.k, c.n, h.c * mean, h.c * (1.0 - mean));
-  };
-
   // Sufficient-statistic equivalence classes: segments with identical
   // (k, n, multiplier) triples share every collapsed likelihood value, so
-  // the deduplicated hot path evaluates per class instead of per row.
+  // the sweep evaluates per class instead of per row.
   std::vector<double> seg_k(n), seg_n(n);
   for (size_t row = 0; row < n; ++row) {
     seg_k[row] = input.segment_counts[row].k;
@@ -228,7 +206,7 @@ Status DpmhbpModel::Fit(const ModelInput& input) {
     std::vector<Group> groups;
     double alpha = 0.0;
     GroupLikelihoodCache cache;
-    std::vector<double> log_weights, sample_scratch, aux_q, hist;
+    std::vector<double> log_weights, sample_scratch, hist;
     // Pipelined CRP pass: a three-chunk ring of auxiliary rates, their
     // weights and the rows' uniforms, plus the assign stage's column table.
     std::vector<double> pipe_aux_q, pipe_aux_ll, pipe_u;
@@ -242,12 +220,6 @@ Status DpmhbpModel::Fit(const ModelInput& input) {
     std::vector<LogitProposal> props;
     std::vector<double> prop_ll;
     std::vector<double> current_ll;
-    struct ShardScratch {
-      std::vector<double> log_weights, sample_scratch, aux_q;
-    };
-    std::vector<ShardScratch> fast_scratch;
-    std::vector<size_t> fast_choice;
-    std::vector<double> fast_new_q;
     explicit ChainState(const SuffStatClasses* cls) : cache(cls) {}
   };
   std::vector<std::unique_ptr<ChainState>> states;
@@ -257,8 +229,7 @@ Status DpmhbpModel::Fit(const ModelInput& input) {
     states.back()->sweep_counter = ChainSweepCounter(c);
   }
 
-  // Concentration resampling + draw collection, identical for both sampler
-  // paths (steps 3 and 4 of a sweep).
+  // Concentration resampling + draw collection (steps 3 and 4 of a sweep).
   auto finish_sweep = [&](int iter, std::vector<Group>& groups, double* alpha,
                           ChainDraws* out, stats::Rng* rng) {
     // --- (3) Resample the DP concentration ------------------------------
@@ -327,7 +298,6 @@ Status DpmhbpModel::Fit(const ModelInput& input) {
       s.alpha = config_.alpha;
     }
     s.cache = GroupLikelihoodCache(&classes);
-    s.aux_q.assign(static_cast<size_t>(config_.auxiliary_components), 0.0);
   };
 
   // --- Within-chain partitioning helpers (see core/sweep_parallel.h) ----
@@ -525,99 +495,6 @@ Status DpmhbpModel::Fit(const ModelInput& input) {
     s.cache.TallyLookups(hits, 0);
   };
 
-  // Fast-mode CRP: rows are sharded over contiguous blocks, every shard
-  // samples against the frozen start-of-sweep groups (columns prefetched,
-  // counts fixed, own-table count reduced by one) with its own pre-forked
-  // RNG sub-stream, and the assignments are applied serially in row order
-  // afterwards. Deterministic for a fixed (seed, sweep_threads) but not
-  // bit-identical to the serial pass — the statistical-equivalence tests
-  // gate it. Expects the columns prefetched by the sweep.
-  auto crp_pass_fast = [&](ChainState& s, ChainDraws& out, stats::Rng* rng) {
-    std::vector<Group>& groups = s.groups;
-    const size_t num_groups = groups.size();
-    const int shards = static_cast<int>(
-        std::min(static_cast<size_t>(sweep_threads), n));
-    std::vector<stats::Rng> shard_rngs = ForkShardRngs(rng, shards);
-    SweepMetrics::Get().fast_shards->Add(shards);
-    if (s.fast_scratch.size() < static_cast<size_t>(shards)) {
-      s.fast_scratch.resize(static_cast<size_t>(shards));
-    }
-    s.fast_choice.resize(n);
-    s.fast_new_q.resize(n);
-    const double log_alpha_share =
-        std::log(s.alpha / config_.auxiliary_components);
-    ThreadPool::Shared().ParallelFor(shards, exec_threads, [&](int b) {
-      ChainState::ShardScratch& sc = s.fast_scratch[static_cast<size_t>(b)];
-      stats::Rng& srng = shard_rngs[static_cast<size_t>(b)];
-      sc.aux_q.assign(static_cast<size_t>(config_.auxiliary_components), 0.0);
-      auto [lo, hi] = BlockRange(n, shards, b);
-      for (size_t row = lo; row < hi; ++row) {
-        const size_t old_g = static_cast<size_t>(out.labels[row]);
-        for (int m = 0; m < config_.auxiliary_components; ++m) {
-          sc.aux_q[static_cast<size_t>(m)] =
-              std::clamp(stats::SampleBeta(&srng, a0, b0), kRateFloor, 0.999);
-        }
-        if (groups[old_g].count == 1) sc.aux_q[0] = groups[old_g].q;
-        const size_t cls = classes.row_class(row);
-        sc.log_weights.clear();
-        for (size_t g = 0; g < num_groups; ++g) {
-          const int cnt = groups[g].count - (g == old_g ? 1 : 0);
-          if (cnt <= 0) {
-            sc.log_weights.push_back(
-                -std::numeric_limits<double>::infinity());
-            continue;
-          }
-          sc.log_weights.push_back(log_count[static_cast<size_t>(cnt)] +
-                                   s.cache.PeekColumn(g)[cls]);
-        }
-        for (int m = 0; m < config_.auxiliary_components; ++m) {
-          sc.log_weights.push_back(
-              log_alpha_share +
-              classes.ClassLogLik(cls, sc.aux_q[static_cast<size_t>(m)]));
-        }
-        s.fast_choice[row] = stats::SampleDiscreteLog(
-            &srng, std::span<const double>(sc.log_weights),
-            &sc.sample_scratch);
-        s.fast_new_q[row] = s.fast_choice[row] >= num_groups
-                                ? sc.aux_q[s.fast_choice[row] - num_groups]
-                                : 0.0;
-      }
-    });
-    // Serial apply in row order against live counts. A chosen table may
-    // have emptied (or been reseated with a new rate) by the time a row is
-    // applied — that reordering noise is exactly what fast mode trades for
-    // shard parallelism.
-    for (size_t row = 0; row < n; ++row) {
-      const size_t old_g = static_cast<size_t>(out.labels[row]);
-      groups[old_g].count -= 1;
-      const size_t choice = s.fast_choice[row];
-      if (choice < num_groups) {
-        out.labels[row] = static_cast<int>(choice);
-        groups[choice].count += 1;
-      } else {
-        const double new_q = s.fast_new_q[row];
-        size_t slot;
-        if (groups[old_g].count == 0) {
-          slot = old_g;
-        } else {
-          slot = groups.size();
-          for (size_t g = 0; g < groups.size(); ++g) {
-            if (groups[g].count == 0) {
-              slot = g;
-              break;
-            }
-          }
-          if (slot == groups.size()) groups.emplace_back();
-        }
-        groups[slot].q = new_q;
-        groups[slot].count = 1;
-        groups[slot].adapter = StepSizeAdapter();
-        ++groups[slot].q_version;
-        out.labels[row] = static_cast<int>(slot);
-      }
-    }
-  };
-
   // --- (2) Metropolis update of each occupied group's rate ----------
   // A group's member sum collapses to sum_cls hist[cls] * loglik(cls),
   // and the current log target is reassembled from the cache column, so
@@ -630,49 +507,18 @@ Status DpmhbpModel::Fit(const ModelInput& input) {
     }
   };
 
-  auto metropolis_serial = [&](ChainState& s, ChainDraws& out, int iter,
-                               stats::Rng* rng) {
-    std::vector<Group>& groups = s.groups;
-    for (size_t g = 0; g < groups.size(); ++g) {
-      if (groups[g].count == 0) continue;
-      const double* hist_g = s.hist.data() + g * num_classes;
-      const std::vector<double>& col =
-          s.cache.Column(g, groups[g].q_version, groups[g].q);
-      double current_ll = stats::LogPdfBeta(groups[g].q, a0, b0);
-      for (size_t cls = 0; cls < num_classes; ++cls) {
-        if (hist_g[cls] != 0.0) current_ll += hist_g[cls] * col[cls];
-      }
-      auto log_target = [&](double qg) {
-        double ll = stats::LogPdfBeta(qg, a0, b0);
-        for (size_t cls = 0; cls < num_classes; ++cls) {
-          if (hist_g[cls] != 0.0) {
-            ll += hist_g[cls] * classes.ClassLogLik(cls, qg);
-          }
-        }
-        return ll;
-      };
-      bool accepted = false;
-      groups[g].q = MetropolisLogitStep(groups[g].q, &current_ll, log_target,
-                                        groups[g].adapter.step(), rng,
-                                        &accepted);
-      ++out.proposals;
-      out.accepts += accepted ? 1 : 0;
-      if (accepted) ++groups[g].q_version;
-      if (iter < burn_in) groups[g].adapter.Update(accepted);
-    }
-  };
-
-  // Parallel Metropolis, bit-identical to metropolis_serial: the serial
-  // coordinator pre-draws every proposal in canonical group order (exactly
-  // the fused kernel's RNG consumption), workers evaluate the pure log
-  // targets over the pool, and the coordinator merges accept decisions back
-  // in group order with the identical floating-point association.
-  auto metropolis_parallel = [&](ChainState& s, ChainDraws& out, int iter,
-                                 stats::Rng* rng) {
+  // The split Metropolis step (core/mcmc.h), at every sweep_threads: the
+  // coordinator refreshes the stale columns and pre-draws every proposal in
+  // canonical group order (exactly the fused step's RNG consumption), the
+  // pure log targets are evaluated over the pool (inline at one thread),
+  // and the coordinator merges accept decisions back in group order with
+  // the identical floating-point association.
+  auto metropolis = [&](ChainState& s, ChainDraws& out, int iter,
+                        stats::Rng* rng) {
     std::vector<Group>& groups = s.groups;
     const size_t occupied = prefetch_columns(s);
-    // Serial phase 2 does one cache lookup per occupied group: the stale
-    // ones miss, the rest hit. Reproduce that tally exactly.
+    // One cache lookup per occupied group: the stale ones miss, the rest
+    // hit.
     s.cache.TallyLookups(occupied - s.stale.size(), s.stale.size());
     s.prop_groups.clear();
     s.props.clear();
@@ -728,10 +574,9 @@ Status DpmhbpModel::Fit(const ModelInput& input) {
 
   // One sweep over the deduplicated classes with versioned per-group
   // likelihood caching and allocation-free inner loops; writes only to its
-  // chain's slots. Parallel sweeps refresh the stale columns up front and
-  // split the Metropolis targets; fast mode additionally shards the CRP pass
-  // itself. Each phase is one span per sweep, never per row.
-  auto sweep_dedup = [&](int chain, int iter, stats::Rng* rng) {
+  // chain's slots. Parallel sweeps refresh the stale columns up front.
+  // Each phase is one span per sweep, never per row.
+  auto sweep = [&](int chain, int iter, stats::Rng* rng) {
     ChainState& s = *states[static_cast<size_t>(chain)];
     ChainDraws& out = draws[static_cast<size_t>(chain)];
     telemetry::ScopedSpan sweep_span("dpmhbp.sweep");
@@ -749,120 +594,17 @@ Status DpmhbpModel::Fit(const ModelInput& input) {
     }
     {
       telemetry::ScopedSpan span("dpmhbp.crp");
-      if (use_fast) {
-        crp_pass_fast(s, out, rng);
-      } else {
-        crp_pass(s, out, rng);
-      }
+      crp_pass(s, out, rng);
     }
     {
       telemetry::ScopedSpan span("dpmhbp.metropolis");
       build_hist(s, out);
-      if (parallel_sweep) {
-        metropolis_parallel(s, out, iter, rng);
-      } else {
-        metropolis_serial(s, out, iter, rng);
-      }
+      metropolis(s, out, iter, rng);
     }
     {
       telemetry::ScopedSpan span("dpmhbp.finish");
       finish_sweep(iter, s.groups, &s.alpha, &out, rng);
     }
-    s.sweep_counter->Increment();
-  };
-
-  // One sweep of the reference per-row sampler, kept bit-identical to the
-  // pre-dedup implementation (legacy goldens pin it) and as the A/B
-  // baseline for the dedup benchmarks.
-  auto sweep_naive = [&](int chain, int iter, stats::Rng* rng) {
-    ChainState& s = *states[static_cast<size_t>(chain)];
-    ChainDraws& out = draws[static_cast<size_t>(chain)];
-    std::vector<Group>& groups = s.groups;
-    telemetry::ScopedSpan sweep_span("dpmhbp.sweep");
-    // --- (1) CRP reassignment of every segment (Neal's algorithm 8) ---
-    for (size_t row = 0; row < n; ++row) {
-      size_t old_g = static_cast<size_t>(out.labels[row]);
-      groups[old_g].count -= 1;
-
-      // Fresh prior draws for the auxiliary (empty) tables. If the segment
-      // just vacated a table, reuse that table's rate as the first
-      // auxiliary (Neal's trick keeps the chain valid and helps mixing).
-      for (int m = 0; m < config_.auxiliary_components; ++m) {
-        s.aux_q[static_cast<size_t>(m)] =
-            std::clamp(stats::SampleBeta(rng, a0, b0), kRateFloor, 0.999);
-      }
-      if (groups[old_g].count == 0) s.aux_q[0] = groups[old_g].q;
-
-      s.log_weights.clear();
-      for (size_t g = 0; g < groups.size(); ++g) {
-        if (groups[g].count == 0) {
-          s.log_weights.push_back(-std::numeric_limits<double>::infinity());
-          continue;
-        }
-        s.log_weights.push_back(
-            std::log(static_cast<double>(groups[g].count)) +
-            seg_loglik(row, groups[g].q));
-      }
-      double log_alpha_share =
-          std::log(s.alpha / config_.auxiliary_components);
-      for (int m = 0; m < config_.auxiliary_components; ++m) {
-        s.log_weights.push_back(
-            log_alpha_share +
-            seg_loglik(row, s.aux_q[static_cast<size_t>(m)]));
-      }
-
-      size_t choice = stats::SampleDiscreteLog(rng, s.log_weights);
-      if (choice < groups.size()) {
-        out.labels[row] = static_cast<int>(choice);
-        groups[choice].count += 1;
-      } else {
-        // Seat at a new table carrying the chosen auxiliary rate. Reuse
-        // the vacated slot when available to limit growth.
-        double new_q = s.aux_q[choice - groups.size()];
-        size_t slot;
-        if (groups[old_g].count == 0) {
-          slot = old_g;
-        } else {
-          // Find any empty slot, else append.
-          slot = groups.size();
-          for (size_t g = 0; g < groups.size(); ++g) {
-            if (groups[g].count == 0) {
-              slot = g;
-              break;
-            }
-          }
-          if (slot == groups.size()) groups.emplace_back();
-        }
-        groups[slot].q = new_q;
-        groups[slot].count = 1;
-        groups[slot].adapter = StepSizeAdapter();
-        out.labels[row] = static_cast<int>(slot);
-      }
-    }
-
-    // --- (2) Metropolis update of each occupied group's rate ----------
-    // Precompute member lists once per sweep.
-    std::vector<std::vector<size_t>> members(groups.size());
-    for (size_t row = 0; row < n; ++row) {
-      members[static_cast<size_t>(out.labels[row])].push_back(row);
-    }
-    for (size_t g = 0; g < groups.size(); ++g) {
-      if (groups[g].count == 0) continue;
-      auto log_target = [&](double qg) {
-        double ll = stats::LogPdfBeta(qg, a0, b0);
-        for (size_t row : members[g]) ll += seg_loglik(row, qg);
-        return ll;
-      };
-      bool accepted = false;
-      groups[g].q = MetropolisLogitStep(groups[g].q, log_target,
-                                        groups[g].adapter.step(), rng,
-                                        &accepted);
-      ++out.proposals;
-      out.accepts += accepted ? 1 : 0;
-      if (iter < burn_in) groups[g].adapter.Update(accepted);
-    }
-
-    finish_sweep(iter, groups, &s.alpha, &out, rng);
     s.sweep_counter->Increment();
   };
 
@@ -933,7 +675,6 @@ Status DpmhbpModel::Fit(const ModelInput& input) {
     }
     s.alpha = ckpt.alpha;
     s.cache = GroupLikelihoodCache(&classes);
-    s.aux_q.assign(static_cast<size_t>(config_.auxiliary_components), 0.0);
     return Status::OK();
   };
 
@@ -951,7 +692,6 @@ Status DpmhbpModel::Fit(const ModelInput& input) {
       .Add(q0)
       .Add(h.c0)
       .Add(h.c)
-      .Add(h.dedup_suffstats)
       .Add(h.use_covariates)
       .Add(h.ridge)
       .Add(h.min_multiplier)
@@ -963,12 +703,9 @@ Status DpmhbpModel::Fit(const ModelInput& input) {
       .Add(config_.auxiliary_components)
       .Add(config_.initial_groups)
       .Add(total_k)
-      .Add(total_n)
-      .Add(h.fast_sweeps);
-  // Deterministic sweeps are bit-identical at every sweep_threads setting,
-  // so the thread count must NOT poison resume compatibility; fast-mode
-  // shard layouts DO depend on it, so there it is fingerprinted.
-  if (h.fast_sweeps) fp.Add(sweep_threads);
+      .Add(total_n);
+  // Sweeps are bit-identical at every sweep_threads setting, so the thread
+  // count must NOT poison resume compatibility and is not fingerprinted.
 
   ChainRunnerOptions run_options;
   run_options.num_chains = num_chains;
@@ -988,13 +725,7 @@ Status DpmhbpModel::Fit(const ModelInput& input) {
 
   ChainProgram program;
   program.init = init_chain;
-  program.sweep = [&](int chain, int iter, stats::Rng* rng) {
-    if (h.dedup_suffstats) {
-      sweep_dedup(chain, iter, rng);
-    } else {
-      sweep_naive(chain, iter, rng);
-    }
-  };
+  program.sweep = sweep;
   program.capture = capture_chain;
   program.restore = restore_chain;
   // Heartbeat feeds (post-sweep observers; no RNG, no chain-state writes):

@@ -209,7 +209,17 @@ std::string HbpModel::name() const {
   return "HBP(" + std::string(ToString(scheme_)) + ")";
 }
 
-Status ValidateConcentrations(const HierarchyConfig& config) {
+Status ValidateHierarchy(const HierarchyConfig& config) {
+  if (config.burn_in < 0) {
+    return Status::InvalidArgument(
+        StrFormat("burn_in must be >= 0 (got %d)", config.burn_in));
+  }
+  if (config.samples <= 0) {
+    return Status::InvalidArgument("samples must be > 0");
+  }
+  if (config.num_chains < 1) {
+    return Status::InvalidArgument("num_chains must be >= 1");
+  }
   for (double c : {config.c, config.c0}) {
     if (!std::isfinite(c) || c <= 0.0) {
       return Status::InvalidArgument(StrFormat(
@@ -223,28 +233,15 @@ Status ValidateConcentrations(const HierarchyConfig& config) {
 Status HbpModel::Fit(const ModelInput& input) {
   const size_t n = input.num_pipes();
   if (n == 0) return Status::InvalidArgument("no pipes to fit");
-  if (config_.samples <= 0) return Status::InvalidArgument("samples must be > 0");
-  PIPERISK_RETURN_IF_ERROR(ValidateConcentrations(config_));
-  if (config_.num_chains < 1) {
-    return Status::InvalidArgument("num_chains must be >= 1");
-  }
-  if (config_.fast_sweeps && !config_.dedup_suffstats) {
-    return Status::InvalidArgument("fast_sweeps requires dedup_suffstats");
-  }
-  SetSimdMode(config_.simd);
+  PIPERISK_RETURN_IF_ERROR(ValidateHierarchy(config_));
   // Within-chain partitioning: HBP groups are fixed, so the whole sweep is
-  // an independent per-group Metropolis scan — the deterministic pre-draw /
-  // parallel-eval / ordered-merge split covers fast mode too (there is no
-  // CRP pass whose ordering could be relaxed), so HBP draws never depend on
-  // sweep_threads. Only the dedup path splits; the reference per-pipe
-  // sampler stays serial.
-  const int sweep_threads = ResolveSweepThreads(config_.sweep_threads);
-  // Cap scheduling at real capacity: output is scheduling-independent, so a
-  // 1-core machine takes the serial path with zero queue overhead.
-  const int exec_threads = std::min(
-      sweep_threads, ThreadPool::Shared().num_workers() + 1);
-  const bool parallel_sweep =
-      config_.dedup_suffstats && (exec_threads > 1 || config_.fast_sweeps);
+  // an independent per-group Metropolis scan, run as a pre-draw /
+  // parallel-eval / ordered-merge split; draws never depend on
+  // sweep_threads. Scheduling is capped at real capacity: output is
+  // scheduling-independent, so a 1-core machine evaluates inline.
+  const int exec_threads =
+      std::min(ResolveSweepThreads(config_.sweep_threads),
+               ThreadPool::Shared().num_workers() + 1);
   labels_ = AssignFixedPipeGroups(input, scheme_);
   const int num_groups = 1 + *std::max_element(labels_.begin(), labels_.end());
   std::vector<PipeCounts> counts = BuildPipeCounts(input);
@@ -306,33 +303,17 @@ Status HbpModel::Fit(const ModelInput& input) {
   const double a0 = config_.c0 * q0;
   const double b0 = config_.c0 * (1.0 - q0);
 
-  std::vector<std::vector<size_t>> members(num_groups);
+  std::vector<double> k_sum(static_cast<size_t>(num_groups), 0.0);
+  std::vector<double> n_sum(static_cast<size_t>(num_groups), 0.0);
   for (size_t i = 0; i < n; ++i) {
-    members[static_cast<size_t>(labels_[i])].push_back(i);
+    k_sum[static_cast<size_t>(labels_[i])] += counts[i].k;
+    n_sum[static_cast<size_t>(labels_[i])] += counts[i].n;
   }
-  std::vector<double> init_q(num_groups, q0);
-  for (int g = 0; g < num_groups; ++g) {
-    double k_sum = 0.0, n_sum = 0.0;
-    for (size_t i : members[g]) {
-      k_sum += counts[i].k;
-      n_sum += counts[i].n;
-    }
-    init_q[g] = std::clamp((k_sum + config_.c0 * q0) / (n_sum + config_.c0),
-                           1e-6, 0.5);
+  std::vector<double> init_q(static_cast<size_t>(num_groups));
+  for (size_t g = 0; g < init_q.size(); ++g) {
+    init_q[g] = std::clamp(
+        (k_sum[g] + config_.c0 * q0) / (n_sum[g] + config_.c0), 1e-6, 0.5);
   }
-
-  // Pure function of read-only state: safe to share across chains. This is
-  // the reference per-pipe evaluation, kept bit-identical to the pre-dedup
-  // implementation (legacy goldens pin it).
-  auto group_loglik = [&](int g, double qg) {
-    double ll = stats::LogPdfBeta(qg, a0, b0);
-    for (size_t i : members[g]) {
-      double mean = TiltedMean(qg, multipliers[i]);
-      ll += LogMarginalNoBinom(counts[i].k, counts[i].n, config_.c * mean,
-                               config_.c * (1.0 - mean));
-    }
-    return ll;
-  };
 
   // Sufficient-statistic deduplication: pipes with identical
   // (k, n, multiplier) triples contribute identical collapsed likelihoods,
@@ -352,7 +333,7 @@ Status HbpModel::Fit(const ModelInput& input) {
     hist[static_cast<size_t>(labels_[i]) * num_classes +
          classes.row_class(i)] += 1.0;
   }
-  auto group_loglik_dedup = [&](int g, double qg) {
+  auto group_loglik = [&](int g, double qg) {
     double ll = stats::LogPdfBeta(qg, a0, b0);
     const double* hist_g = hist.data() + static_cast<size_t>(g) * num_classes;
     for (size_t cls = 0; cls < num_classes; ++cls) {
@@ -377,15 +358,15 @@ Status HbpModel::Fit(const ModelInput& input) {
 
   // Mutable sampler state of one chain, separated from the accumulated
   // draws so the checkpoint runner can re-initialise or restore a chain
-  // wholesale. `current_ll` is the per-sweep likelihood cache of the dedup
-  // path; it is recomputed (bit-identically — same deterministic function at
+  // wholesale. `current_ll` caches each group's log target at its current
+  // rate; it is recomputed (bit-identically — same deterministic function at
   // the same rates) rather than checkpointed.
   struct ChainState {
     std::vector<double> q;
     std::vector<StepSizeAdapter> adapters;
     std::vector<double> current_ll;
     telemetry::Counter* sweep_counter = nullptr;
-    // Partitioned-sweep scratch (allocation reuse only; never checkpointed).
+    // Per-sweep proposal scratch (allocation reuse only; never checkpointed).
     std::vector<LogitProposal> props;
     std::vector<double> prop_ll;
   };
@@ -396,10 +377,8 @@ Status HbpModel::Fit(const ModelInput& input) {
 
   auto refresh_current_ll = [&](ChainState& s) {
     s.current_ll.assign(static_cast<size_t>(num_groups), 0.0);
-    if (config_.dedup_suffstats) {
-      for (int g = 0; g < num_groups; ++g) {
-        s.current_ll[static_cast<size_t>(g)] = group_loglik_dedup(g, s.q[g]);
-      }
+    for (int g = 0; g < num_groups; ++g) {
+      s.current_ll[static_cast<size_t>(g)] = group_loglik(g, s.q[g]);
     }
   };
 
@@ -430,60 +409,38 @@ Status HbpModel::Fit(const ModelInput& input) {
     ChainState& s = states[static_cast<size_t>(chain)];
     ChainDraws& out = draws[static_cast<size_t>(chain)];
     telemetry::ScopedSpan sweep_span("hbp.sweep");
-    if (parallel_sweep) {
-      // Bit-identical split of the serial scan: proposals pre-drawn in
-      // canonical group order (the fused kernel's exact RNG consumption),
-      // pure log targets evaluated over the pool, decisions merged back in
-      // group order with identical arithmetic.
-      SweepMetrics::Get().parallel_sweeps->Increment();
-      s.props.clear();
-      for (int g = 0; g < num_groups; ++g) {
-        s.props.push_back(DrawLogitProposal(
-            s.q[static_cast<size_t>(g)],
-            s.adapters[static_cast<size_t>(g)].step(), rng));
-      }
-      SweepMetrics::Get().predrawn_proposals->Add(num_groups);
-      s.prop_ll.assign(static_cast<size_t>(num_groups), 0.0);
-      const int blocks = std::min(num_groups, exec_threads);
-      ThreadPool::Shared().ParallelFor(blocks, exec_threads, [&](int b) {
-        auto [lo, hi] =
-            BlockRange(static_cast<size_t>(num_groups), blocks, b);
-        for (size_t g = lo; g < hi; ++g) {
-          if (s.props[g].in_support) {
-            s.prop_ll[g] =
-                group_loglik_dedup(static_cast<int>(g), s.props[g].proposal);
-          }
+    (exec_threads > 1 ? SweepMetrics::Get().parallel_sweeps
+                      : SweepMetrics::Get().serial_sweeps)
+        ->Increment();
+    // Proposals pre-drawn in canonical group order (the fused step's exact
+    // RNG consumption), pure log targets evaluated over the pool, decisions
+    // merged back in group order.
+    s.props.clear();
+    for (int g = 0; g < num_groups; ++g) {
+      s.props.push_back(DrawLogitProposal(
+          s.q[static_cast<size_t>(g)],
+          s.adapters[static_cast<size_t>(g)].step(), rng));
+    }
+    SweepMetrics::Get().predrawn_proposals->Add(num_groups);
+    s.prop_ll.assign(static_cast<size_t>(num_groups), 0.0);
+    const int blocks = std::min(num_groups, exec_threads);
+    ThreadPool::Shared().ParallelFor(blocks, exec_threads, [&](int b) {
+      auto [lo, hi] = BlockRange(static_cast<size_t>(num_groups), blocks, b);
+      for (size_t g = lo; g < hi; ++g) {
+        if (s.props[g].in_support) {
+          s.prop_ll[g] =
+              group_loglik(static_cast<int>(g), s.props[g].proposal);
         }
-      });
-      for (int g = 0; g < num_groups; ++g) {
-        const size_t gi = static_cast<size_t>(g);
-        const bool accepted = AcceptLogitProposal(
-            s.props[gi], s.q[gi], s.prop_ll[gi], &s.current_ll[gi]);
-        if (accepted) s.q[gi] = s.props[gi].proposal;
-        if (iter < burn_in) s.adapters[gi].Update(accepted);
-        ++out.proposals;
-        out.accepts += accepted ? 1 : 0;
       }
-    } else {
-      SweepMetrics::Get().serial_sweeps->Increment();
-      for (int g = 0; g < num_groups; ++g) {
-        bool accepted = false;
-        if (config_.dedup_suffstats) {
-          s.q[g] = MetropolisLogitStep(
-              s.q[g], &s.current_ll[static_cast<size_t>(g)],
-              [&](double v) { return group_loglik_dedup(g, v); },
-              s.adapters[static_cast<size_t>(g)].step(), rng, &accepted);
-        } else {
-          s.q[g] = MetropolisLogitStep(
-              s.q[g], [&](double v) { return group_loglik(g, v); },
-              s.adapters[static_cast<size_t>(g)].step(), rng, &accepted);
-        }
-        if (iter < burn_in) {
-          s.adapters[static_cast<size_t>(g)].Update(accepted);
-        }
-        ++out.proposals;
-        out.accepts += accepted ? 1 : 0;
-      }
+    });
+    for (int g = 0; g < num_groups; ++g) {
+      const size_t gi = static_cast<size_t>(g);
+      const bool accepted = AcceptLogitProposal(
+          s.props[gi], s.q[gi], s.prop_ll[gi], &s.current_ll[gi]);
+      if (accepted) s.q[gi] = s.props[gi].proposal;
+      if (iter < burn_in) s.adapters[gi].Update(accepted);
+      ++out.proposals;
+      out.accepts += accepted ? 1 : 0;
     }
     if (iter >= burn_in) {
       ++out.collected;
@@ -564,14 +521,12 @@ Status HbpModel::Fit(const ModelInput& input) {
       .Add(q0)
       .Add(config_.c0)
       .Add(config_.c)
-      .Add(config_.dedup_suffstats)
       .Add(config_.use_covariates)
       .Add(config_.ridge)
       .Add(config_.min_multiplier)
       .Add(config_.max_multiplier)
       .Add(total_k)
-      .Add(total_n)
-      .Add(config_.fast_sweeps);
+      .Add(total_n);
 
   ChainRunnerOptions run_options;
   run_options.num_chains = num_chains;

@@ -7,7 +7,6 @@
 #include "core/checkpoint.h"
 #include "core/heartbeat.h"
 #include "core/model.h"
-#include "core/suffstats.h"
 #include "stats/rng.h"
 
 namespace piperisk {
@@ -57,34 +56,18 @@ struct HierarchyConfig {
   /// Worker threads for running chains (<= 0: use the hardware; always
   /// clamped to num_chains). Affects wall clock only, never the draws.
   int num_threads = 0;
-  /// Sufficient-statistic deduplication + per-sweep likelihood caching in
-  /// the samplers (see core/suffstats.h). The reference per-row sampler is
-  /// kept behind `false` for A/B benchmarking and the bit-pinned legacy
-  /// goldens; the deduplicated path differs from it only in floating-point
-  /// summation order, so fits are statistically equivalent but not
-  /// bit-identical.
-  bool dedup_suffstats = true;
   bool use_covariates = true;  ///< multiplicative feature effects
   double ridge = 1.0;          ///< for the covariate Poisson regression
   double min_multiplier = 0.2;
   double max_multiplier = 5.0;
   /// Worker threads for partitioning work *inside* one sweep (parallel
   /// likelihood-column refreshes, the pipelined DPMHBP CRP pass and
-  /// Metropolis target evaluations; see
-  /// core/sweep_parallel.h). <= 0 resolves to the hardware, 1 is the serial
-  /// sweep. In the default deterministic mode draws are bit-identical at
-  /// every setting — the RNG is consumed by a serial coordinator in
-  /// canonical order and only pure target evaluations fan out.
+  /// Metropolis target evaluations; see core/sweep_parallel.h). <= 0
+  /// resolves to the hardware, 1 is the serial sweep. Draws are
+  /// bit-identical at every setting — the RNG is consumed by a serial
+  /// coordinator in canonical order and only pure target evaluations fan
+  /// out.
   int sweep_threads = 1;
-  /// Relaxed-ordering fast sweeps: CRP reassignment runs over row shards
-  /// against start-of-sweep state with per-shard RNG sub-streams forked up
-  /// front. Still deterministic for a fixed (seed, sweep_threads) pair, but
-  /// NOT bit-identical to the serial sweep; gated by statistical-equivalence
-  /// tests on ranking metrics. Requires dedup_suffstats.
-  bool fast_sweeps = false;
-  /// SIMD dispatch policy for the batched column kernels (bit-identical
-  /// either way; exposed for benchmarking and triage).
-  SimdMode simd = SimdMode::kAuto;
   /// Crash-safe snapshot/resume settings (see core/checkpoint.h). Ignored
   /// unless `checkpoint.every > 0`; persistence additionally needs a
   /// non-empty `checkpoint.dir`.
@@ -105,9 +88,11 @@ struct HierarchyConfig {
   int warm_burn_in = -1;
 };
 
-/// InvalidArgument unless both concentrations c and c0 are finite and > 0
+/// The checks every hierarchical fit (HBP, DPMHBP, streaming HBP) runs
+/// before sampling: InvalidArgument unless burn_in >= 0, samples > 0,
+/// num_chains >= 1, and both concentrations c and c0 are finite and > 0
 /// (the collapsed likelihood and the Beta prior are improper otherwise).
-Status ValidateConcentrations(const HierarchyConfig& config);
+Status ValidateHierarchy(const HierarchyConfig& config);
 
 /// The hierarchical beta process baseline of Li et al. (2014) /
 /// Sect. 18.3.1.3, exactly as the chapter positions it against the DPMHBP:

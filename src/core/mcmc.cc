@@ -64,31 +64,6 @@ double MetropolisLogitStep(double current,
   return current;
 }
 
-double MetropolisLogitStep(double current, double* current_log_target,
-                           const std::function<double(double)>& log_target,
-                           double step_size, stats::Rng* rng, bool* accepted) {
-  *accepted = false;
-  double logit_cur = stats::Logit(current);
-  double logit_prop = logit_cur + step_size * stats::SampleNormal(rng);
-  double proposal = stats::Sigmoid(logit_prop);
-  if (proposal <= 0.0 || proposal >= 1.0) {  // underflow guard
-    RecordProposal(false);
-    return current;
-  }
-  double proposal_ll = log_target(proposal);
-  double log_ratio = proposal_ll - *current_log_target + std::log(proposal) +
-                     std::log1p(-proposal) - std::log(current) -
-                     std::log1p(-current);
-  if (std::log(rng->NextDoubleOpen()) < log_ratio) {
-    *accepted = true;
-    *current_log_target = proposal_ll;
-    RecordProposal(true);
-    return proposal;
-  }
-  RecordProposal(false);
-  return current;
-}
-
 LogitProposal DrawLogitProposal(double current, double step_size,
                                 stats::Rng* rng) {
   LogitProposal prop;

@@ -24,28 +24,20 @@ double MetropolisLogitStep(double current,
                            const std::function<double(double)>& log_target,
                            double step_size, stats::Rng* rng, bool* accepted);
 
-/// As above, but the log target at `current` is already known (typically
-/// from a per-sweep likelihood cache), so `log_target` is evaluated only at
-/// the proposal — halving the dominant cost of a sweep. On acceptance
-/// `*current_log_target` is replaced by the proposal's value. Consumes the
-/// RNG identically to the two-evaluation overload.
-double MetropolisLogitStep(double current, double* current_log_target,
-                           const std::function<double(double)>& log_target,
-                           double step_size, stats::Rng* rng, bool* accepted);
-
 /// One random-walk Metropolis step for a positive parameter, proposed on
 /// the log scale (Jacobian handled analogously).
 double MetropolisLogStep(double current,
                          const std::function<double(double)>& log_target,
                          double step_size, stats::Rng* rng, bool* accepted);
 
-/// Split form of the cached-target MetropolisLogitStep, for within-chain
-/// parallel sweeps: a serial coordinator pre-draws every group's proposal in
-/// canonical group order (consuming the RNG exactly as the fused step
-/// would: one normal, then one uniform IFF the proposal stayed inside
-/// (0, 1)), workers evaluate the pure log targets in parallel, and the
-/// coordinator merges accept/reject decisions back in group order. The
-/// fused overload is bit-equivalent to Draw + Accept on one thread.
+/// Split form of MetropolisLogitStep for the group-rate updates of the
+/// hierarchical samplers, where the log target at the current rate is
+/// already cached, so the target is evaluated only at the proposal. A
+/// serial coordinator pre-draws every group's proposal in canonical group
+/// order (consuming the RNG exactly as the fused step would: one normal,
+/// then one uniform IFF the proposal stayed inside (0, 1)), the pure log
+/// targets are evaluated (in parallel, for within-chain parallel sweeps),
+/// and the coordinator merges accept/reject decisions back in group order.
 struct LogitProposal {
   double proposal = 0.0;
   double log_u = 0.0;        ///< log of the pre-drawn acceptance uniform

@@ -62,10 +62,7 @@ Result<ModelInput> BuildShardInput(const data::RegionDataset& dataset,
 Result<StreamingHbpFit> FitStreamingHbp(const data::ShardedDataset& shards,
                                         const StreamingHbpOptions& options) {
   const HierarchyConfig& h = options.hierarchy;
-  if (h.samples <= 0) return Status::InvalidArgument("samples must be > 0");
-  if (h.num_chains < 1) {
-    return Status::InvalidArgument("num_chains must be >= 1");
-  }
+  PIPERISK_RETURN_IF_ERROR(ValidateHierarchy(h));
 
   // Live progress (observational only; the writer thread never touches the
   // chain RNG streams, so heartbeat-enabled fits stay bit-reproducible).
@@ -198,11 +195,12 @@ Result<StreamingHbpFit> FitStreamingHbp(const data::ShardedDataset& shards,
     for (int iter = 0; iter < total_sweeps; ++iter) {
       for (int g = 0; g < num_groups; ++g) {
         const size_t gi = static_cast<size_t>(g);
-        bool accepted = false;
-        q[gi] = MetropolisLogitStep(
-            q[gi], &current_ll[gi],
-            [&](double v) { return group_loglik(g, v); }, adapters[gi].step(),
-            &rng, &accepted);
+        const LogitProposal prop =
+            DrawLogitProposal(q[gi], adapters[gi].step(), &rng);
+        const bool accepted = AcceptLogitProposal(
+            prop, q[gi], prop.in_support ? group_loglik(g, prop.proposal) : 0.0,
+            &current_ll[gi]);
+        if (accepted) q[gi] = prop.proposal;
         if (iter < h.burn_in) adapters[gi].Update(accepted);
         ++proposals;
         accepts += accepted ? 1 : 0;

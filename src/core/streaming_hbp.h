@@ -30,9 +30,9 @@ namespace core {
 ///     carry per-pipe feature rows); the streaming fit is the
 ///     covariate-free HBP, exactly the `use_covariates = false` model;
 ///   - draws come from this sampler's own chains, so fits are
-///     statistically equivalent to, but not bit-identical with, HbpModel
-///     (same caveat as fast_sweeps). Re-fitting the same shards with the
-///     same options IS bit-reproducible.
+///     statistically equivalent to, but not bit-identical with, HbpModel.
+///     Re-fitting the same shards with the same options IS
+///     bit-reproducible.
 struct StreamingHbpOptions {
   HierarchyConfig hierarchy;  ///< q0/c0/c/burn_in/samples/seed/num_chains
   GroupingScheme scheme = GroupingScheme::kMaterial;

@@ -2,13 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <map>
-
-#if defined(PIPERISK_HAVE_AVX2)
-#include <immintrin.h>
-#endif
 
 #include "common/logging.h"
 #include "common/telemetry.h"
@@ -17,79 +12,6 @@
 
 namespace piperisk {
 namespace core {
-
-namespace {
-
-std::atomic<int> g_simd_mode{static_cast<int>(SimdMode::kAuto)};
-
-#if defined(PIPERISK_HAVE_AVX2)
-/// AVX2 combine: four classes per iteration, gathering the precomputed
-/// rising-factorial and memoised-lgamma entries and applying the same
-/// ((rising + lgamma_off) - lgamma_b) + lnc association as the scalar loop.
-/// Gathers, vaddpd, and vsubpd are IEEE-exact lane-wise, so every lane is
-/// bit-identical to its scalar counterpart.
-__attribute__((target("avx2"))) void CombineColumnAvx2(
-    const double* rising, const double* lgamma_off, double lgamma_b,
-    const std::int32_t* ki, const std::uint32_t* oidx, const double* lnc,
-    const std::uint32_t* cls, double* out, std::size_t count) {
-  const __m256d vb = _mm256_set1_pd(lgamma_b);
-  // All-lanes-on masked gathers with an explicit zero source: identical to
-  // the plain gather but avoids GCC's uninitialised pass-through operand.
-  const __m256d gather_src = _mm256_setzero_pd();
-  const __m256d gather_mask = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m128i vki =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(ki + i));
-    const __m128i voi =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(oidx + i));
-    const __m256d vris =
-        _mm256_mask_i32gather_pd(gather_src, rising, vki, gather_mask, 8);
-    const __m256d vlgo =
-        _mm256_mask_i32gather_pd(gather_src, lgamma_off, voi, gather_mask, 8);
-    const __m256d vlnc = _mm256_loadu_pd(lnc + i);
-    const __m256d v =
-        _mm256_add_pd(_mm256_sub_pd(_mm256_add_pd(vris, vlgo), vb), vlnc);
-    alignas(32) double lane[4];
-    _mm256_store_pd(lane, v);
-    out[cls[i]] = lane[0];
-    out[cls[i + 1]] = lane[1];
-    out[cls[i + 2]] = lane[2];
-    out[cls[i + 3]] = lane[3];
-  }
-  for (; i < count; ++i) {
-    out[cls[i]] = ((rising[ki[i]] + lgamma_off[oidx[i]]) - lgamma_b) + lnc[i];
-  }
-}
-#endif  // PIPERISK_HAVE_AVX2
-
-void CombineColumnScalar(const double* rising, const double* lgamma_off,
-                         double lgamma_b, const std::int32_t* ki,
-                         const std::uint32_t* oidx, const double* lnc,
-                         const std::uint32_t* cls, double* out,
-                         std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) {
-    out[cls[i]] = ((rising[ki[i]] + lgamma_off[oidx[i]]) - lgamma_b) + lnc[i];
-  }
-}
-
-}  // namespace
-
-void SetSimdMode(SimdMode mode) {
-  g_simd_mode.store(static_cast<int>(mode), std::memory_order_relaxed);
-}
-
-SimdMode GetSimdMode() {
-  return static_cast<SimdMode>(g_simd_mode.load(std::memory_order_relaxed));
-}
-
-bool SimdKernelAvailable() {
-#if defined(PIPERISK_HAVE_AVX2)
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
 
 SuffStatClasses SuffStatClasses::Build(const std::vector<double>& k,
                                        const std::vector<double>& n,
@@ -221,10 +143,6 @@ void SuffStatClasses::FillColumnBatch(double q, std::vector<double>* out,
                                       ColumnScratch* scratch) const {
   out->resize(num_classes());
   double* const o = out->data();
-#if defined(PIPERISK_HAVE_AVX2)
-  const bool use_avx2 =
-      GetSimdMode() == SimdMode::kAuto && SimdKernelAvailable();
-#endif
   for (const MultGroup& mg : mult_groups_) {
     const double mean = std::clamp(q * mg.multiplier, mean_floor_, mean_ceil_);
     const double a = c_ * mean;
@@ -246,22 +164,15 @@ void SuffStatClasses::FillColumnBatch(double q, std::vector<double>* out,
     for (size_t oi = mg.off_begin; oi < mg.off_end; ++oi) {
       scratch->lgamma_off[oi - mg.off_begin] = stats::LogGamma(b + offsets_[oi]);
     }
-    const std::size_t count = mg.end - mg.begin;
-#if defined(PIPERISK_HAVE_AVX2)
-    if (use_avx2) {
-      CombineColumnAvx2(scratch->rising.data(), scratch->lgamma_off.data(),
-                        lgamma_b, grouped_ki_.data() + mg.begin,
-                        grouped_oidx_.data() + mg.begin,
-                        grouped_lnc_.data() + mg.begin,
-                        grouped_cls_.data() + mg.begin, o, count);
-    } else
-#endif
-    {
-      CombineColumnScalar(scratch->rising.data(), scratch->lgamma_off.data(),
-                          lgamma_b, grouped_ki_.data() + mg.begin,
-                          grouped_oidx_.data() + mg.begin,
-                          grouped_lnc_.data() + mg.begin,
-                          grouped_cls_.data() + mg.begin, o, count);
+    // Combine: a pure gather + three IEEE adds/subs per class, associated
+    // exactly as the scalar ClassLogLik.
+    const double* rising = scratch->rising.data();
+    const double* lgamma_off = scratch->lgamma_off.data();
+    for (std::size_t i = mg.begin; i < mg.end; ++i) {
+      o[grouped_cls_[i]] =
+          ((rising[grouped_ki_[i]] + lgamma_off[grouped_oidx_[i]]) -
+           lgamma_b) +
+          grouped_lnc_[i];
     }
     // Fractional-k stragglers: the 4-lgamma hoisted form, batched with
     // lgamma(a)/lgamma(b) lifted out of the loop.

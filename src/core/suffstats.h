@@ -9,22 +9,6 @@
 namespace piperisk {
 namespace core {
 
-/// Dispatch policy for the explicitly vectorised column kernels. `kAuto`
-/// uses the AVX2 combine loop when the binary carries it AND the CPU
-/// supports it; `kOff` forces the portable scalar loop. Both produce
-/// bit-identical output (the vector path only reorders independent lanes of
-/// IEEE adds/subs, never the association within a lane), so the switch is a
-/// debugging/benchmarking aid, not a correctness knob.
-enum class SimdMode { kAuto, kOff };
-
-/// Process-wide SIMD policy (relaxed atomic; set from the CLI before
-/// fitting). Defaults to kAuto.
-void SetSimdMode(SimdMode mode);
-SimdMode GetSimdMode();
-
-/// True when the AVX2 kernel was compiled in and the CPU reports AVX2.
-bool SimdKernelAvailable();
-
 /// Sufficient-statistic deduplication for the collapsed beta–Bernoulli
 /// likelihood at the heart of the HBP/DPMHBP samplers.
 ///
@@ -101,8 +85,7 @@ class SuffStatClasses {
   /// rising-factorial ladder (exactly the scalar ladder's left-to-right
   /// partial sums), and one memoised lgamma(b + offset) entry per distinct
   /// offset = n - k. The final combine is a pure gather + three IEEE
-  /// adds/subs per class — auto-vectorisable, with an explicit AVX2 path
-  /// when available — and every element is bit-identical to FillColumn.
+  /// adds/subs per class, and every element is bit-identical to FillColumn.
   void FillColumnBatch(double q, std::vector<double>* out,
                        ColumnScratch* scratch) const;
 

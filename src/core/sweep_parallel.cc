@@ -10,13 +10,6 @@ int ResolveSweepThreads(int sweep_threads) {
   return ThreadPool::Shared().num_workers() + 1;
 }
 
-std::vector<stats::Rng> ForkShardRngs(stats::Rng* chain_rng, int shards) {
-  std::vector<stats::Rng> rngs;
-  rngs.reserve(static_cast<size_t>(shards));
-  for (int s = 0; s < shards; ++s) rngs.push_back(chain_rng->Fork());
-  return rngs;
-}
-
 const SweepMetrics& SweepMetrics::Get() {
   static const SweepMetrics metrics = [] {
     auto& registry = telemetry::Registry::Global();
@@ -25,7 +18,6 @@ const SweepMetrics& SweepMetrics::Get() {
     m.serial_sweeps = registry.GetCounter("core.sweep.serial_sweeps");
     m.column_refreshes = registry.GetCounter("core.sweep.column_refreshes");
     m.predrawn_proposals = registry.GetCounter("core.sweep.predrawn_proposals");
-    m.fast_shards = registry.GetCounter("core.sweep.fast_shards");
     return m;
   }();
   return metrics;

@@ -10,7 +10,6 @@
 #include "core/beta_bernoulli.h"
 #include "core/beta_process.h"
 #include "core/crp.h"
-#include "core/ibp.h"
 #include "core/mcmc.h"
 #include "stats/descriptive.h"
 #include "stats/distributions.h"
@@ -297,65 +296,6 @@ TEST(McmcTest, EffectiveSampleSizeDetectsCorrelation) {
   double ess_corr = EffectiveSampleSize(correlated);
   EXPECT_GT(ess_iid, 2500.0);
   EXPECT_LT(ess_corr, 600.0);
-}
-
-// --- IBP ------------------------------------------------------------------------
-
-TEST(IbpTest, ValidatesInputs) {
-  stats::Rng rng(15);
-  EXPECT_FALSE(SampleIbp(0, 1.0, &rng).ok());
-  EXPECT_FALSE(SampleIbp(10, 0.0, &rng).ok());
-  EXPECT_FALSE(SampleIbp(10, -1.0, &rng).ok());
-}
-
-TEST(IbpTest, FirstCustomerTakesPoissonAlphaDishes) {
-  stats::Rng rng(16);
-  double total = 0.0;
-  const int trials = 4000;
-  for (int t = 0; t < trials; ++t) {
-    auto a = SampleIbp(1, 2.5, &rng);
-    ASSERT_TRUE(a.ok());
-    total += static_cast<double>(a->num_columns);
-    // The single customer takes every dish it created.
-    for (int v : a->rows[0]) EXPECT_EQ(v, 1);
-  }
-  EXPECT_NEAR(total / trials, 2.5, 0.1);
-}
-
-TEST(IbpTest, ExpectedDishesMatchAlphaHarmonic) {
-  stats::Rng rng(17);
-  const std::size_t n = 50;
-  const double alpha = 1.5;
-  double dishes = 0.0, entries = 0.0;
-  const int trials = 1500;
-  for (int t = 0; t < trials; ++t) {
-    auto a = SampleIbp(n, alpha, &rng);
-    ASSERT_TRUE(a.ok());
-    dishes += static_cast<double>(a->num_columns);
-    for (const auto& row : a->rows) {
-      for (int v : row) entries += v;
-    }
-  }
-  EXPECT_NEAR(dishes / trials, IbpExpectedDishes(n, alpha), 0.3);
-  EXPECT_NEAR(entries / trials, IbpExpectedEntries(n, alpha), 2.5);
-}
-
-TEST(IbpTest, DenseViewPadsWithZeros) {
-  stats::Rng rng(18);
-  auto a = SampleIbp(20, 2.0, &rng);
-  ASSERT_TRUE(a.ok());
-  auto dense = a->Dense();
-  ASSERT_EQ(dense.size(), 20u);
-  for (const auto& row : dense) {
-    ASSERT_EQ(row.size(), a->num_columns);
-    for (int v : row) EXPECT_TRUE(v == 0 || v == 1);
-  }
-  // Every dish has at least one taker (its creator).
-  for (std::size_t k = 0; k < a->num_columns; ++k) {
-    int col_sum = 0;
-    for (const auto& row : dense) col_sum += row[k];
-    EXPECT_GE(col_sum, 1) << "dish " << k;
-  }
 }
 
 TEST(McmcTest, GewekeFlagsDriftingChain) {

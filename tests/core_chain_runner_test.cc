@@ -152,28 +152,6 @@ TEST(ChainRunnerTest, DpmhbpSingleChainReproducesPreMultichainFit) {
   EXPECT_DOUBLE_EQ(model.alpha_trace().back(), 6.7410860442645708);
 }
 
-TEST(ChainRunnerTest, DpmhbpReferenceSamplerMatchesSameGoldens) {
-  // The reference per-row sampler (dedup_suffstats = false) retains the
-  // pre-dedup code verbatim and must hit the same goldens, proving the
-  // deduplicated default and the legacy path agree bit-for-bit on this
-  // fixture.
-  const auto& shared = GetSharedRegion();
-  DpmhbpConfig config = ChainedConfig(1, 1);
-  config.hierarchy.dedup_suffstats = false;
-  DpmhbpModel model(config);
-  ASSERT_TRUE(model.Fit(shared.cwm_input).ok());
-  const auto& p = model.segment_probabilities();
-  ASSERT_EQ(p.size(), 1469u);
-  EXPECT_DOUBLE_EQ(p[0], 0.00079253309525358117);
-  EXPECT_DOUBLE_EQ(p[100], 0.0013549187107499399);
-  EXPECT_DOUBLE_EQ(p[1468], 0.083880070165021026);
-  double ksum = 0;
-  for (int k : model.num_groups_trace()) ksum += k;
-  EXPECT_DOUBLE_EQ(ksum, 1438.0);
-  EXPECT_DOUBLE_EQ(model.alpha_trace().front(), 1.9434490727119753);
-  EXPECT_DOUBLE_EQ(model.alpha_trace().back(), 6.7410860442645708);
-}
-
 TEST(ChainRunnerTest, HbpPooledScoresBitIdenticalAcrossThreadCounts) {
   const auto& shared = GetSharedRegion();
   HierarchyConfig h = FastHierarchy();
@@ -201,21 +179,6 @@ TEST(ChainRunnerTest, HbpSingleChainReproducesPreMultichainFit) {
   // deduplicated sampler (the default).
   const auto& shared = GetSharedRegion();
   HbpModel model(GroupingScheme::kMaterial, FastHierarchy());
-  ASSERT_TRUE(model.Fit(shared.cwm_input).ok());
-  const auto& p = model.pipe_probabilities();
-  EXPECT_DOUBLE_EQ(p[0], 0.0047535078373287546);
-  EXPECT_DOUBLE_EQ(p[5], 0.02927631674062562);
-  EXPECT_DOUBLE_EQ(p.back(), 0.14433691073679142);
-  EXPECT_DOUBLE_EQ(model.group_rates()[0], 0.045554450107733943);
-}
-
-TEST(ChainRunnerTest, HbpReferenceSamplerMatchesSameGoldens) {
-  // Reference per-group-loglik path pinned to the same seed-commit goldens
-  // as the deduplicated default above.
-  const auto& shared = GetSharedRegion();
-  HierarchyConfig h = FastHierarchy();
-  h.dedup_suffstats = false;
-  HbpModel model(GroupingScheme::kMaterial, h);
   ASSERT_TRUE(model.Fit(shared.cwm_input).ok());
   const auto& p = model.pipe_probabilities();
   EXPECT_DOUBLE_EQ(p[0], 0.0047535078373287546);

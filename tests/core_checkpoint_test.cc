@@ -207,10 +207,8 @@ DpmhbpConfig FastDpmhbp() {
 
 /// Fits with the given checkpoint settings and returns the pooled
 /// segment probabilities (the quantity every downstream score derives from).
-Result<std::vector<double>> FitDpmhbp(const CheckpointConfig& ck,
-                                      bool dedup = true) {
+Result<std::vector<double>> FitDpmhbp(const CheckpointConfig& ck) {
   DpmhbpConfig config = FastDpmhbp();
-  config.hierarchy.dedup_suffstats = dedup;
   config.hierarchy.checkpoint = ck;
   DpmhbpModel model(config);
   PIPERISK_RETURN_IF_ERROR(model.Fit(testutil::GetSharedRegion().cwm_input));
@@ -238,26 +236,6 @@ TEST(CheckpointResumeTest, DpmhbpHaltAndResumeIsBitIdentical) {
   auto resumed = FitDpmhbp(ck);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   ASSERT_EQ(resumed->size(), baseline->size());
-  for (size_t i = 0; i < baseline->size(); ++i) {
-    EXPECT_DOUBLE_EQ((*resumed)[i], (*baseline)[i]) << "segment " << i;
-  }
-}
-
-TEST(CheckpointResumeTest, DpmhbpNaivePathResumeIsBitIdentical) {
-  const auto baseline = FitDpmhbp(CheckpointConfig(), /*dedup=*/false);
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-
-  const std::string dir = TempCheckpointDir("dpmhbp_naive_resume");
-  CheckpointConfig ck;
-  ck.dir = dir;
-  ck.every = 25;
-  ck.halt_after_sweeps = 30;
-  ASSERT_FALSE(FitDpmhbp(ck, /*dedup=*/false).ok());
-
-  ck.halt_after_sweeps = -1;
-  ck.resume = true;
-  auto resumed = FitDpmhbp(ck, /*dedup=*/false);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   for (size_t i = 0; i < baseline->size(); ++i) {
     EXPECT_DOUBLE_EQ((*resumed)[i], (*baseline)[i]) << "segment " << i;
   }

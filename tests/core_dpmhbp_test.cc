@@ -218,6 +218,27 @@ TEST(DpmhbpTest, ConfigValidation) {
   }
 }
 
+TEST(DpmhbpTest, RejectsNegativeBurnIn) {
+  // A negative burn-in used to shorten the run silently (burn -5 with 20
+  // samples collected 15 draws); it must fail before any sweep runs.
+  const auto& shared = GetSharedRegion();
+  for (int bad : {-1, -5, -100}) {
+    DpmhbpConfig config = FastConfig();
+    config.hierarchy.burn_in = bad;
+    DpmhbpModel model(config);
+    const Status status = model.Fit(shared.cwm_input);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << "burn=" << bad;
+    EXPECT_NE(status.message().find("burn_in"), std::string::npos)
+        << status.ToString();
+  }
+  DpmhbpConfig config = FastConfig();
+  config.hierarchy.burn_in = 0;
+  DpmhbpModel model(config);
+  ASSERT_TRUE(model.Fit(shared.cwm_input).ok());
+  EXPECT_EQ(model.alpha_trace().size(),
+            static_cast<size_t>(config.hierarchy.samples));
+}
+
 TEST(DpmhbpTest, ScoreBeforeFitFails) {
   const auto& shared = GetSharedRegion();
   DpmhbpModel model(FastConfig());

@@ -202,6 +202,44 @@ TEST(HbpModelTest, ConfigValidation) {
   }
 }
 
+TEST(HbpModelTest, RejectsNegativeBurnIn) {
+  const auto& shared = GetSharedRegion();
+  for (int bad : {-1, -5, -100}) {
+    HierarchyConfig h = FastHierarchy();
+    h.burn_in = bad;
+    const Status status =
+        HbpModel(GroupingScheme::kMaterial, h).Fit(shared.cwm_input);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << "burn=" << bad;
+    EXPECT_NE(status.message().find("burn_in"), std::string::npos)
+        << status.ToString();
+  }
+  HierarchyConfig h = FastHierarchy();
+  h.burn_in = 0;
+  HbpModel model(GroupingScheme::kMaterial, h);
+  ASSERT_TRUE(model.Fit(shared.cwm_input).ok());
+  ASSERT_FALSE(model.group_rate_traces().empty());
+  EXPECT_EQ(model.group_rate_traces()[0].size(),
+            static_cast<size_t>(h.samples));
+}
+
+TEST(HbpModelTest, ValidateHierarchyChecksEveryField) {
+  EXPECT_TRUE(ValidateHierarchy(HierarchyConfig()).ok());
+  auto invalid = [](auto mutate) {
+    HierarchyConfig h;
+    mutate(h);
+    return ValidateHierarchy(h).code() == StatusCode::kInvalidArgument;
+  };
+  EXPECT_TRUE(invalid([](HierarchyConfig& h) { h.burn_in = -1; }));
+  EXPECT_TRUE(invalid([](HierarchyConfig& h) { h.samples = 0; }));
+  EXPECT_TRUE(invalid([](HierarchyConfig& h) { h.num_chains = 0; }));
+  EXPECT_TRUE(invalid([](HierarchyConfig& h) { h.c = 0.0; }));
+  EXPECT_TRUE(invalid([](HierarchyConfig& h) { h.c0 = std::nan(""); }));
+  HierarchyConfig edge;
+  edge.burn_in = 0;
+  edge.samples = 1;
+  EXPECT_TRUE(ValidateHierarchy(edge).ok());
+}
+
 TEST(HbpModelTest, TracesSupportDiagnostics) {
   const auto& shared = GetSharedRegion();
   HierarchyConfig h = FastHierarchy();

@@ -1,11 +1,9 @@
-// Tests for the batched / SIMD likelihood column kernels and the
-// within-chain sweep partitioning (ISSUE 7).
+// Tests for the batched likelihood column kernels and the within-chain
+// sweep partitioning.
 //
-// The load-bearing contract is bit-identity: FillColumnBatch (in both SIMD
-// modes) must reproduce the scalar FillColumn exactly, and a fit run with
-// any --sweep-threads setting must reproduce the serial fit exactly. Fast
-// mode deliberately relaxes bit-identity and is instead gated statistically,
-// mirroring the dedup-equivalence tests.
+// The load-bearing contract is bit-identity: FillColumnBatch must reproduce
+// the scalar FillColumn exactly, and a fit run with any --sweep-threads
+// setting must reproduce the serial fit exactly.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +17,6 @@
 #include "core/hbp.h"
 #include "core/suffstats.h"
 #include "core/sweep_parallel.h"
-#include "eval/ranking_metrics.h"
 #include "stats/special.h"
 #include "tests/test_util.h"
 
@@ -29,38 +26,26 @@ namespace {
 
 using testutil::FastHierarchy;
 using testutil::GetSharedRegion;
-using testutil::ScoreAuc;
-
-/// Restores the process-wide SIMD mode on scope exit so test order cannot
-/// leak a kOff into unrelated tests.
-struct SimdModeGuard {
-  ~SimdModeGuard() { SetSimdMode(SimdMode::kAuto); }
-};
 
 bool BitIdentical(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
-/// Asserts FillColumnBatch == FillColumn bit-for-bit, in both SIMD modes,
-/// for every q in `rates`.
+/// Asserts FillColumnBatch == FillColumn bit-for-bit for every q in
+/// `rates`.
 void ExpectBatchMatchesScalar(const SuffStatClasses& classes,
                               const std::vector<double>& rates) {
-  SimdModeGuard guard;
   std::vector<double> scalar, batch;
   SuffStatClasses::ColumnScratch scratch;
-  for (SimdMode mode : {SimdMode::kAuto, SimdMode::kOff}) {
-    SetSimdMode(mode);
-    for (double q : rates) {
-      classes.FillColumn(q, &scalar);
-      classes.FillColumnBatch(q, &batch, &scratch);
-      ASSERT_EQ(scalar.size(), classes.num_classes());
-      ASSERT_EQ(batch.size(), scalar.size());
-      for (size_t cls = 0; cls < scalar.size(); ++cls) {
-        EXPECT_TRUE(BitIdentical(batch[cls], scalar[cls]))
-            << "mode=" << (mode == SimdMode::kAuto ? "auto" : "off")
-            << " q=" << q << " cls=" << cls << " scalar=" << scalar[cls]
-            << " batch=" << batch[cls];
-      }
+  for (double q : rates) {
+    classes.FillColumn(q, &scalar);
+    classes.FillColumnBatch(q, &batch, &scratch);
+    ASSERT_EQ(scalar.size(), classes.num_classes());
+    ASSERT_EQ(batch.size(), scalar.size());
+    for (size_t cls = 0; cls < scalar.size(); ++cls) {
+      EXPECT_TRUE(BitIdentical(batch[cls], scalar[cls]))
+          << "q=" << q << " cls=" << cls << " scalar=" << scalar[cls]
+          << " batch=" << batch[cls];
     }
   }
 }
@@ -94,8 +79,8 @@ TEST(SimdKernelTest, ZeroFailureMajorityMatchesScalar) {
 }
 
 TEST(SimdKernelTest, IntegerLadderWideAndTailMatchesScalar) {
-  // > 4 classes per multiplier group exercises the AVX2 main loop AND the
-  // scalar tail; k up to the ladder cap exercises the widest rising ladder.
+  // Two multiplier groups of unequal size; k up to the ladder cap exercises
+  // the widest rising ladder.
   std::vector<double> k, n, m;
   for (int ki = 0; ki <= 11; ++ki) {
     k.push_back(ki);
@@ -183,40 +168,18 @@ TEST(SimdKernelTest, HoistedBatchMatchesScalarHoisted) {
   }
 }
 
-TEST(SimdKernelTest, SimdOffMatchesAutoInsideTheCache) {
-  // End to end through GroupLikelihoodCache: both modes serve bit-identical
-  // columns.
-  SimdModeGuard guard;
-  std::vector<double> k{0, 1, 2, 3, 0, 1.5};
-  std::vector<double> n{12, 12, 12, 12, 10, 11};
-  std::vector<double> m{1.0, 1.0, 1.3, 1.3, 0.7, 0.7};
-  auto classes = SuffStatClasses::Build(k, n, m, 12.0);
-  SetSimdMode(SimdMode::kAuto);
-  GroupLikelihoodCache auto_cache(&classes);
-  std::vector<double> auto_col = auto_cache.Column(0, 1, 0.02);
-  SetSimdMode(SimdMode::kOff);
-  GroupLikelihoodCache off_cache(&classes);
-  std::vector<double> off_col = off_cache.Column(0, 1, 0.02);
-  ASSERT_EQ(auto_col.size(), off_col.size());
-  for (size_t cls = 0; cls < auto_col.size(); ++cls) {
-    EXPECT_TRUE(BitIdentical(auto_col[cls], off_col[cls])) << "cls=" << cls;
-  }
-}
-
 // --- Sweep-thread-count invariance ------------------------------------------
 //
-// Deterministic mode's contract: the fit is a pure function of
-// (seed, chains) — sweep_threads must never reach the arithmetic or the RNG
+// The sweep's contract: the fit is a pure function of (seed, chains) — sweep_threads must never reach the arithmetic or the RNG
 // stream. sweep_threads == 1 is the unchanged serial path that the chain
 // runner's golden tests pin, so exact agreement here extends those goldens
 // to every thread count.
 
-std::vector<double> FitDpmhbpScores(int sweep_threads, bool fast_sweeps) {
+std::vector<double> FitDpmhbpScores(int sweep_threads) {
   const auto& shared = GetSharedRegion();
   DpmhbpConfig config;
   config.hierarchy = FastHierarchy();
   config.hierarchy.sweep_threads = sweep_threads;
-  config.hierarchy.fast_sweeps = fast_sweeps;
   DpmhbpModel model(config);
   EXPECT_TRUE(model.Fit(shared.cwm_input).ok());
   auto scores = model.ScorePipes(shared.cwm_input);
@@ -225,10 +188,10 @@ std::vector<double> FitDpmhbpScores(int sweep_threads, bool fast_sweeps) {
 }
 
 TEST(SweepThreadInvarianceTest, DpmhbpScoresBitIdenticalAcrossThreadCounts) {
-  const std::vector<double> serial = FitDpmhbpScores(1, false);
-  // 0 = "whole machine" — must also be bit-identical in deterministic mode.
+  const std::vector<double> serial = FitDpmhbpScores(1);
+  // 0 = "whole machine" — must also be bit-identical.
   for (int threads : {2, 4, 8, 0}) {
-    const std::vector<double> parallel = FitDpmhbpScores(threads, false);
+    const std::vector<double> parallel = FitDpmhbpScores(threads);
     ASSERT_EQ(parallel.size(), serial.size()) << "threads=" << threads;
     for (size_t i = 0; i < serial.size(); ++i) {
       EXPECT_TRUE(BitIdentical(parallel[i], serial[i]))
@@ -265,82 +228,11 @@ TEST(SweepThreadInvarianceTest, HbpPosteriorBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// --- Fast mode --------------------------------------------------------------
-
-TEST(FastSweepTest, RequiresDedupSuffstats) {
-  const auto& shared = GetSharedRegion();
-  DpmhbpConfig config;
-  config.hierarchy = FastHierarchy();
-  config.hierarchy.fast_sweeps = true;
-  config.hierarchy.dedup_suffstats = false;
-  DpmhbpModel model(config);
-  EXPECT_FALSE(model.Fit(shared.cwm_input).ok());
-}
-
-TEST(FastSweepTest, ReproducibleForFixedSeedAndThreads) {
-  const std::vector<double> a = FitDpmhbpScores(4, true);
-  const std::vector<double> b = FitDpmhbpScores(4, true);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_TRUE(BitIdentical(a[i], b[i])) << "pipe=" << i;
-  }
-}
-
-double DetectionAt(const core::ModelInput& input,
-                   const std::vector<double>& scores, double budget) {
-  std::vector<int> failures(input.num_pipes());
-  std::vector<double> lengths(input.num_pipes());
-  for (size_t i = 0; i < input.num_pipes(); ++i) {
-    failures[i] = input.outcomes[i].test_failures;
-    lengths[i] = input.outcomes[i].length_m;
-  }
-  auto scored = eval::ZipScores(scores, failures, lengths);
-  EXPECT_TRUE(scored.ok());
-  auto det =
-      eval::DetectionAtBudget(*scored, eval::BudgetMode::kPipeCount, budget);
-  EXPECT_TRUE(det.ok());
-  return *det;
-}
-
-TEST(FastSweepTest, RankingMetricsMatchDeterministicSampler) {
-  // Fast mode's sharded CRP pass samples against frozen start-of-sweep state,
-  // so it is NOT bit-identical to the serial sweep; the gate is the same
-  // statistical-equivalence contract the dedup layer uses: the paper's
-  // ranking metrics must agree tightly on the shared fixture.
-  const auto& shared = GetSharedRegion();
-  const std::vector<double> serial = FitDpmhbpScores(1, false);
-  const std::vector<double> fast = FitDpmhbpScores(4, true);
-
-  double serial_auc = ScoreAuc(shared.cwm_input, serial);
-  double fast_auc = ScoreAuc(shared.cwm_input, fast);
-  EXPECT_GT(fast_auc, 0.6);
-  EXPECT_NEAR(fast_auc, serial_auc, 0.02);
-  for (double budget : {0.1, 0.2}) {
-    EXPECT_NEAR(DetectionAt(shared.cwm_input, fast, budget),
-                DetectionAt(shared.cwm_input, serial, budget), 0.05)
-        << "budget=" << budget;
-  }
-}
-
 TEST(SweepParallelTest, ResolveSweepThreads) {
   EXPECT_EQ(ResolveSweepThreads(1), 1);
   EXPECT_EQ(ResolveSweepThreads(7), 7);
   EXPECT_GE(ResolveSweepThreads(0), 1);
   EXPECT_GE(ResolveSweepThreads(-3), 1);
-}
-
-TEST(SweepParallelTest, ForkShardRngsConsumesForksInOrder) {
-  stats::Rng a(123), b(123);
-  auto shards = ForkShardRngs(&a, 3);
-  ASSERT_EQ(shards.size(), 3u);
-  // Same layout as three direct forks, in order.
-  for (int s = 0; s < 3; ++s) {
-    stats::Rng want = b.Fork();
-    EXPECT_EQ(shards[static_cast<size_t>(s)].NextU64(), want.NextU64())
-        << "shard=" << s;
-  }
-  // The parent streams stay aligned afterwards.
-  EXPECT_EQ(a.NextU64(), b.NextU64());
 }
 
 }  // namespace

@@ -1,8 +1,6 @@
 // Tests for the sufficient-statistic deduplication layer: equivalence-class
 // building, the hoisted / rising-factorial collapsed marginal against the
-// reference implementation, the versioned per-group likelihood cache, and
-// statistical equivalence of the deduplicated samplers (the default) to the
-// reference per-row samplers they replaced on the hot path.
+// reference implementation, and the versioned per-group likelihood cache.
 
 #include "core/suffstats.h"
 
@@ -14,19 +12,11 @@
 #include <vector>
 
 #include "core/beta_bernoulli.h"
-#include "core/dpmhbp.h"
-#include "core/hbp.h"
-#include "eval/ranking_metrics.h"
 #include "stats/special.h"
-#include "tests/test_util.h"
 
 namespace piperisk {
 namespace core {
 namespace {
-
-using testutil::FastHierarchy;
-using testutil::GetSharedRegion;
-using testutil::ScoreAuc;
 
 TEST(SuffStatClassesTest, IdenticalTriplesCollapse) {
   std::vector<double> k{0, 1, 0, 1, 0, 2};
@@ -137,80 +127,6 @@ TEST(GroupLikelihoodCacheTest, RefreshesOnlyOnVersionChange) {
   const auto& other = cache.Column(7, 1, 0.1);
   EXPECT_DOUBLE_EQ(other[0], classes.ClassLogLik(0, 0.1));
   EXPECT_DOUBLE_EQ(cache.Column(0, 2, 0.5)[0], classes.ClassLogLik(0, 0.5));
-}
-
-// --- Statistical equivalence of the deduplicated samplers -------------------
-//
-// The deduplicated path reorders floating-point summations (class histogram
-// sums instead of member-order sums), so it is not guaranteed bit-identical
-// to the reference sampler. The contract is statistical: on the shared
-// fixture the ranking metrics that the paper's evaluation uses (detection
-// AUC, detected failures at an inspection budget) must agree tightly.
-
-double DetectionAt(const core::ModelInput& input,
-                   const std::vector<double>& scores, double budget) {
-  std::vector<int> failures(input.num_pipes());
-  std::vector<double> lengths(input.num_pipes());
-  for (size_t i = 0; i < input.num_pipes(); ++i) {
-    failures[i] = input.outcomes[i].test_failures;
-    lengths[i] = input.outcomes[i].length_m;
-  }
-  auto scored = eval::ZipScores(scores, failures, lengths);
-  EXPECT_TRUE(scored.ok());
-  auto det =
-      eval::DetectionAtBudget(*scored, eval::BudgetMode::kPipeCount, budget);
-  EXPECT_TRUE(det.ok());
-  return *det;
-}
-
-TEST(DedupEquivalenceTest, DpmhbpRankingMetricsMatchReferenceSampler) {
-  const auto& shared = GetSharedRegion();
-  DpmhbpConfig dedup_config;
-  dedup_config.hierarchy = FastHierarchy();
-  ASSERT_TRUE(dedup_config.hierarchy.dedup_suffstats);
-  DpmhbpConfig naive_config = dedup_config;
-  naive_config.hierarchy.dedup_suffstats = false;
-
-  DpmhbpModel dedup(dedup_config), naive(naive_config);
-  ASSERT_TRUE(dedup.Fit(shared.cwm_input).ok());
-  ASSERT_TRUE(naive.Fit(shared.cwm_input).ok());
-  auto dedup_scores = dedup.ScorePipes(shared.cwm_input);
-  auto naive_scores = naive.ScorePipes(shared.cwm_input);
-  ASSERT_TRUE(dedup_scores.ok());
-  ASSERT_TRUE(naive_scores.ok());
-
-  double dedup_auc = ScoreAuc(shared.cwm_input, *dedup_scores);
-  double naive_auc = ScoreAuc(shared.cwm_input, *naive_scores);
-  EXPECT_GT(dedup_auc, 0.6);
-  EXPECT_NEAR(dedup_auc, naive_auc, 0.02);
-  for (double budget : {0.1, 0.2}) {
-    EXPECT_NEAR(DetectionAt(shared.cwm_input, *dedup_scores, budget),
-                DetectionAt(shared.cwm_input, *naive_scores, budget), 0.05)
-        << "budget=" << budget;
-  }
-  // Posterior group-count traces explore the same regime.
-  EXPECT_NEAR(dedup.mean_num_groups(), naive.mean_num_groups(), 3.0);
-}
-
-TEST(DedupEquivalenceTest, HbpRankingMetricsMatchReferenceSampler) {
-  const auto& shared = GetSharedRegion();
-  HierarchyConfig h = FastHierarchy();
-  ASSERT_TRUE(h.dedup_suffstats);
-  HierarchyConfig h_naive = h;
-  h_naive.dedup_suffstats = false;
-
-  HbpModel dedup(GroupingScheme::kMaterial, h);
-  HbpModel naive(GroupingScheme::kMaterial, h_naive);
-  ASSERT_TRUE(dedup.Fit(shared.cwm_input).ok());
-  ASSERT_TRUE(naive.Fit(shared.cwm_input).ok());
-
-  double dedup_auc = ScoreAuc(shared.cwm_input, dedup.pipe_probabilities());
-  double naive_auc = ScoreAuc(shared.cwm_input, naive.pipe_probabilities());
-  EXPECT_NEAR(dedup_auc, naive_auc, 0.02);
-  ASSERT_EQ(dedup.group_rates().size(), naive.group_rates().size());
-  for (size_t g = 0; g < dedup.group_rates().size(); ++g) {
-    EXPECT_NEAR(dedup.group_rates()[g], naive.group_rates()[g], 0.02);
-  }
 }
 
 }  // namespace

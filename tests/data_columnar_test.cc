@@ -383,6 +383,30 @@ TEST(StreamingHbpTest, FitIsWindowInvariantAndReproducible) {
   EXPECT_EQ(streamed->ids.size(), fit1->total_pipes);
 }
 
+TEST(StreamingHbpTest, RejectsInvalidHierarchy) {
+  // The out-of-core fit runs the same checks as the in-memory fits: a
+  // negative burn-in used to exit 0 and write NaN scores, and c/c0 were
+  // never checked at all.
+  const std::string dir = TempShardDir("fit_invalid");
+  ASSERT_TRUE(GenerateShardedDataset(SmallOptions(dir, 1)).ok());
+  auto shards = ShardedDataset::Open(dir);
+  ASSERT_TRUE(shards.ok());
+  auto fit_code = [&](auto mutate) {
+    core::StreamingHbpOptions options;
+    options.hierarchy = testutil::FastHierarchy();
+    mutate(options.hierarchy);
+    return core::FitStreamingHbp(*shards, options).status().code();
+  };
+  EXPECT_EQ(fit_code([](core::HierarchyConfig& h) { h.burn_in = -100; }),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(fit_code([](core::HierarchyConfig& h) { h.c = 0.0; }),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(fit_code([](core::HierarchyConfig& h) { h.c0 = -1.0; }),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(fit_code([](core::HierarchyConfig& h) { h.samples = 0; }),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(StreamingEvalTest, ScoresReaderParsesAndRejects) {
   const std::string dir = TempShardDir("reader");
   const std::string path = dir + "/scores.csv";

@@ -41,23 +41,11 @@ test -f scores_mc.csv
 cmp scores_mc.csv scores_mc_t1.csv
 
 echo "== fit with within-chain partitioning"
-# Deterministic mode: partitioning a sweep across the pool must not change a
-# single byte of the scores, at any --sweep-threads setting.
+# Partitioning a sweep across the pool must not change a single byte of the
+# scores, at any --sweep-threads setting.
 "$BIN" fit --data smoke --model dpmhbp --burn 10 --samples 20 \
     --sweep-threads 4 --out scores_st4.csv
 cmp scores.csv scores_st4.csv
-# Nor may the explicit-SIMD kernels: --simd off selects the portable scalar
-# combine loop with bit-identical output.
-"$BIN" fit --data smoke --model dpmhbp --burn 10 --samples 20 \
-    --sweep-threads 4 --simd off --out scores_simd_off.csv
-cmp scores.csv scores_simd_off.csv
-# Fast mode relaxes bit-identity to the serial sweep but stays reproducible
-# for a fixed (seed, sweep-threads).
-"$BIN" fit --data smoke --model dpmhbp --burn 10 --samples 20 \
-    --sweep-threads 4 --fast-sweeps --out scores_fast_a.csv
-"$BIN" fit --data smoke --model dpmhbp --burn 10 --samples 20 \
-    --sweep-threads 4 --fast-sweeps --out scores_fast_b.csv
-cmp scores_fast_a.csv scores_fast_b.csv
 
 echo "== telemetry exports"
 # Attaching every exporter must not perturb the model: scores stay
@@ -411,5 +399,36 @@ for bad in -1 1.5 nan inf; do
     exit 1
   fi
 done
+# A negative burn-in is rejected by every hierarchical fit, in memory and
+# out of core, instead of silently shortening the run.
+for model in dpmhbp hbp; do
+  if "$BIN" fit --data smoke --model "$model" --burn -5 --samples 20 \
+      --out burn_bad.csv 2>/dev/null; then
+    echo "expected --burn -5 to fail for --model $model" >&2
+    exit 1
+  fi
+done
+if "$BIN" fit --data-dir shards --model hbp --burn -100 --samples 20 \
+    --out burn_bad_stream.csv 2>/dev/null; then
+  echo "expected out-of-core --burn -100 to fail" >&2
+  exit 1
+fi
+# MCMC commands reject unknown flags with exit code 2 and name the flag, so
+# a typo or a removed flag never silently fits with the defaults.
+for flags in "--bogus-flag 7" "--fast-sweeps" "--simd off"; do
+  rc=0
+  # shellcheck disable=SC2086
+  "$BIN" fit --data smoke --model dpmhbp --burn 10 --samples 20 $flags \
+      --out flag_bad.csv 2>flag_err.txt || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "expected exit 2 for fit $flags, got $rc" >&2
+    exit 1
+  fi
+  grep -q "unknown flag ${flags%% *}" flag_err.txt
+done
+rc=0
+"$BIN" fit --data-dir shards --model hbp --bogus-flag 7 --out flag_bad.csv \
+    2>/dev/null || rc=$?
+test "$rc" -eq 2
 
 echo "CLI smoke test passed"

@@ -24,18 +24,14 @@
 //             rsf|gbt
 //             [--category CWM|RWM|WW] [--burn N] [--samples N] [--seed N]
 //             [--chains K] [--threads T] --out SCORES.csv
-//             [--sweep-threads S] [--simd auto|off] [--fast-sweeps]
+//             [--sweep-threads S]
 //             [--checkpoint-dir DIR] [--checkpoint-every N] [--resume]
 //       Train a model on the 1998-2008 window and write per-pipe risk
 //       scores (pipe_id,score). MCMC models pool K independent chains run
 //       on T worker threads; results depend only on (--seed, --chains).
 //       --sweep-threads S additionally partitions each sweep's likelihood
 //       work within a chain across the pool (S<=0 means whole machine);
-//       scores stay bit-identical for every S. --fast-sweeps also shards
-//       the CRP reassignment pass over frozen start-of-sweep state: still
-//       deterministic for a fixed (seed, sweep-threads) but no longer
-//       bit-identical to the serial sweep. --simd off disables the AVX2
-//       likelihood kernels (output is bit-identical either way).
+//       scores stay bit-identical for every S.
 //       With --checkpoint-dir, chain snapshots are written atomically every
 //       N sweeps (default 25); --resume restarts an interrupted fit from
 //       those snapshots and produces scores bit-identical to an
@@ -101,8 +97,9 @@
 //       before and score the test year; prints each model's per-year AUC
 //       series and its mean. --warm-start re-fits year y initialised from
 //       year y-1's end-of-fit state (MCMC chain snapshots for DPMHBP/HBP,
-//       tree-ensemble carry-over for RSF/GBT) — much cheaper per year,
-//       statistically equivalent rankings; the year loop runs serially.
+//       tree-ensemble carry-over for RSF/GBT) — statistically equivalent
+//       rankings, but only about 1.03x faster than a cold run (see
+//       BENCH_models.json), and the year loop runs serially.
 //       Cold runs parallelise across years with --threads.
 //
 //   riskmap   --data PREFIX --scores SCORES.csv --out MAP.geojson
@@ -131,6 +128,9 @@
 //       one block per sample instead of redrawing the screen; --iterations N
 //       exits after N samples (0 = run until interrupted).
 //
+// The MCMC commands (fit, compare, rolling, diagnose, tune) reject unknown
+// flags with exit code 2.
+//
 // Global flags (any command):
 //   --log-level debug|info|warning|error|fatal
 //       Minimum severity emitted to stderr (default info).
@@ -151,11 +151,13 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "baselines/cox.h"
 #include "baselines/gbt.h"
@@ -227,6 +229,25 @@ Result<core::ModelInput> LoadInput(const CommandLine& cl,
                                  *category, features);
 }
 
+/// Rejects, with exit code 2 and the flag's name, any flag that is neither
+/// one HierarchyFlags reads (hierarchy, checkpoint, heartbeat), a global
+/// exporter or --log-level flag, nor one of the command's own `flags`.
+/// Returns 0 when every flag is known.
+int RejectUnknownFlags(const CommandLine& cl,
+                       std::initializer_list<const char*> flags) {
+  std::vector<std::string> known = {
+      "burn", "samples", "seed", "chains", "threads", "sweep-threads",
+      "checkpoint-dir", "checkpoint-every", "resume", "checkpoint-halt-after",
+      "heartbeat-file", "heartbeat-every",
+      "metrics-out", "trace-out", "log-level"};
+  known.insert(known.end(), flags.begin(), flags.end());
+  const std::vector<std::string> unknown = cl.UnknownFlags(known);
+  if (unknown.empty()) return 0;
+  std::fprintf(stderr, "%s: unknown flag --%s\n", cl.command().c_str(),
+               unknown.front().c_str());
+  return 2;
+}
+
 Result<core::HierarchyConfig> HierarchyFlags(const CommandLine& cl) {
   core::HierarchyConfig h;
   PIPERISK_ASSIGN_OR_RETURN(h.burn_in, cl.GetInt32("burn", h.burn_in));
@@ -242,15 +263,6 @@ Result<core::HierarchyConfig> HierarchyFlags(const CommandLine& cl) {
   }
   PIPERISK_ASSIGN_OR_RETURN(h.sweep_threads,
                             cl.GetInt32("sweep-threads", h.sweep_threads));
-  h.fast_sweeps = cl.GetBool("fast-sweeps", h.fast_sweeps);
-  std::string simd = ToLowerAscii(cl.GetString("simd", "auto"));
-  if (simd == "auto") {
-    h.simd = core::SimdMode::kAuto;
-  } else if (simd == "off") {
-    h.simd = core::SimdMode::kOff;
-  } else {
-    return Status::InvalidArgument("--simd must be auto or off");
-  }
   h.checkpoint.dir = cl.GetString("checkpoint-dir", "");
   PIPERISK_ASSIGN_OR_RETURN(
       h.checkpoint.every, cl.GetInt32("checkpoint-every", h.checkpoint.every));
@@ -432,6 +444,10 @@ int CmdConvert(const CommandLine& cl) {
 // bounded-window RSS. Only the covariate-free HBP factors through per-group
 // (k, n) histograms, so only --model hbp is supported here.
 int CmdFitStreaming(const CommandLine& cl) {
+  if (int rc = RejectUnknownFlags(
+          cl, {"data-dir", "out", "model", "category", "shard-window"})) {
+    return rc;
+  }
   const std::string dir = cl.GetString("data-dir", "");
   const std::string out = cl.GetString("out", "");
   if (out.empty()) {
@@ -472,6 +488,9 @@ int CmdFitStreaming(const CommandLine& cl) {
 
 int CmdFit(const CommandLine& cl) {
   if (cl.Has("data-dir")) return CmdFitStreaming(cl);
+  if (int rc = RejectUnknownFlags(cl, {"data", "out", "model", "category"})) {
+    return rc;
+  }
   std::string prefix = cl.GetString("data", "");
   std::string out = cl.GetString("out", "");
   std::string model_name = ToLowerAscii(cl.GetString("model", "dpmhbp"));
@@ -724,6 +743,9 @@ int CmdEvaluate(const CommandLine& cl) {
 }
 
 int CmdCompare(const CommandLine& cl) {
+  if (int rc = RejectUnknownFlags(cl, {"data", "category", "extended"})) {
+    return rc;
+  }
   std::string prefix = cl.GetString("data", "");
   if (prefix.empty()) {
     std::fprintf(stderr, "compare: --data PREFIX is required\n");
@@ -754,6 +776,10 @@ int CmdCompare(const CommandLine& cl) {
 }
 
 int CmdRolling(const CommandLine& cl) {
+  if (int rc = RejectUnknownFlags(cl, {"data", "category", "first-year",
+                                       "last-year", "warm-start"})) {
+    return rc;
+  }
   std::string prefix = cl.GetString("data", "");
   if (prefix.empty()) {
     std::fprintf(stderr, "rolling: --data PREFIX is required\n");
@@ -838,6 +864,9 @@ int CmdRiskmap(const CommandLine& cl) {
 }
 
 int CmdDiagnose(const CommandLine& cl) {
+  if (int rc = RejectUnknownFlags(cl, {"data", "category", "model"})) {
+    return rc;
+  }
   std::string prefix = cl.GetString("data", "");
   if (prefix.empty()) {
     std::fprintf(stderr, "diagnose: --data PREFIX is required\n");
@@ -877,6 +906,7 @@ int CmdDiagnose(const CommandLine& cl) {
 }
 
 int CmdTune(const CommandLine& cl) {
+  if (int rc = RejectUnknownFlags(cl, {"data", "category"})) return rc;
   std::string prefix = cl.GetString("data", "");
   if (prefix.empty()) {
     std::fprintf(stderr, "tune: --data PREFIX is required\n");
