@@ -29,8 +29,8 @@ TEST(RollingTest, ProducesSeriesPerHeadlineModel) {
   ASSERT_EQ(rolling->test_years.size(), 3u);
   EXPECT_EQ(rolling->test_years[0], 2007);
   EXPECT_EQ(rolling->test_years[2], 2009);
-  for (const char* model :
-       {"DPMHBP", "HBP(best)", "Cox", "SVMrank", "Weibull"}) {
+  for (const char* model : {"DPMHBP", "HBP(best)", "Cox", "SVMrank",
+                            "Weibull", "RSF", "GBT"}) {
     const RollingSeries* series = rolling->Find(model);
     ASSERT_NE(series, nullptr) << model;
     ASSERT_EQ(series->auc_full.size(), 3u) << model;

@@ -297,6 +297,26 @@ TEST(RsfTest, ScoreBeforeFitFails) {
 
 // --- GBT -----------------------------------------------------------------------
 
+TEST(GbtTest, ScoresMatchGolden) {
+  // Captured from the cold fit; a cold ensemble must reproduce it bit for
+  // bit.
+  const auto& shared = GetSharedRegion();
+  GbtConfig config = FastGbt();
+  config.num_fit_threads = 2;
+  GbtModel model(config);
+  const std::vector<double> scores = FitAndScore(&model, shared.cwm_input);
+  ASSERT_EQ(scores.size(), 240u);
+  EXPECT_EQ(BitHash(scores), 0x764540B664590DA4ULL);
+  const std::pair<std::size_t, double> kPinned[] = {
+      {0, 0x1.cda8c076b2b16p-4},   {1, 0x1.494ef8a821fbdp-3},
+      {37, 0x1.26f112e043073p-1},  {60, 0x1.7e1b91ae6914bp-1},
+      {120, 0x1.12337e4b9129dp-2}, {180, 0x1.00c4ae4fc5123p-2},
+      {239, 0x1.ddd8cce763fffp-2}};
+  for (const auto& [i, want] : kPinned) {
+    EXPECT_EQ(scores[i], want) << "pipe=" << i;
+  }
+}
+
 TEST(GbtTest, ScoresAreBitIdenticalAcrossThreadCounts) {
   const auto& shared = GetSharedRegion();
   std::vector<std::vector<double>> runs;
