@@ -13,8 +13,7 @@ namespace baselines {
 
 namespace {
 
-// Stream tag for the ensemble's master RNG (one fork per boosting round,
-// ever, across the warm-start lineage).
+// Stream tag for the ensemble's master RNG (one fork per boosting round).
 constexpr std::uint64_t kGbtStream = 0x6B7;
 
 double Sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
@@ -41,15 +40,6 @@ struct GrowNode {
 }  // namespace
 
 GbtModel::GbtModel(GbtConfig config) : config_(config) {}
-
-void GbtModel::SetWarmStart(GbtWarmState state) {
-  warm_ = std::move(state);
-  has_warm_ = true;
-}
-
-GbtWarmState GbtModel::warm_state() const {
-  return GbtWarmState{trees_, base_score_, streams_used_, feature_dim_};
-}
 
 double GbtModel::PredictMargin(const double* z) const {
   double f = base_score_;
@@ -112,39 +102,19 @@ Status GbtModel::Fit(const core::ModelInput& input) {
     }
   }
 
-  // Warm start: keep the carried trees and base score, run only the top-up
-  // rounds; RNG streams continue from the lineage counter.
-  std::vector<GbtTree> carried;
-  std::uint64_t stream_base = 0;
-  int rounds = std::max(config_.num_rounds, 1);
-  if (has_warm_ && !warm_.trees.empty() && warm_.feature_dim == d) {
-    carried = std::move(warm_.trees);
-    base_score_ = warm_.base_score;
-    stream_base = warm_.streams_used;
-    rounds = std::max(config_.warm_top_up_rounds, 1);
-  } else {
-    double mean = y_sum / static_cast<double>(n);
-    base_score_ = logistic
-                      ? std::log(std::clamp(mean, 1e-6, 1.0 - 1e-6) /
-                                 (1.0 - std::clamp(mean, 1e-6, 1.0 - 1e-6)))
-                      : std::log(std::max(mean, 1e-6));
-  }
-  has_warm_ = false;
-  warm_ = GbtWarmState{};
+  const int rounds = std::max(config_.num_rounds, 1);
+  const double mean = y_sum / static_cast<double>(n);
+  base_score_ = logistic
+                    ? std::log(std::clamp(mean, 1e-6, 1.0 - 1e-6) /
+                               (1.0 - std::clamp(mean, 1e-6, 1.0 - 1e-6)))
+                    : std::log(std::max(mean, 1e-6));
 
   stats::Rng master(config_.seed, kGbtStream);
-  for (std::uint64_t s = 0; s < stream_base; ++s) master.Fork();
   std::vector<stats::Rng> round_rngs;
   round_rngs.reserve(static_cast<std::size_t>(rounds));
   for (int r = 0; r < rounds; ++r) round_rngs.push_back(master.Fork());
 
-  // Current margin per row (carried trees included).
   std::vector<double> margin(n, base_score_);
-  for (const auto& tree : carried) {
-    for (std::size_t i = 0; i < n; ++i) {
-      margin[i] += TreePredict(tree, input.pipe_features[i].data());
-    }
-  }
 
   std::vector<GbtTree> grown;
   grown.reserve(static_cast<std::size_t>(rounds));
@@ -289,9 +259,7 @@ Status GbtModel::Fit(const core::ModelInput& input) {
     grown.push_back(std::move(tree));
   }
 
-  trees_ = std::move(carried);
-  for (auto& t : grown) trees_.push_back(std::move(t));
-  streams_used_ = stream_base + static_cast<std::uint64_t>(rounds);
+  trees_ = std::move(grown);
   feature_dim_ = d;
   fitted_ = true;
   return Status::OK();

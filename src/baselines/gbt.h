@@ -41,8 +41,6 @@ struct GbtConfig {
   /// parallel unit writes disjoint slots, so the ensemble is bit-identical
   /// for every thread count.
   int num_fit_threads = 1;
-  /// Boosting rounds run on the new data when warm-starting.
-  int warm_top_up_rounds = 15;
   GbtLoss loss = GbtLoss::kPoisson;
 };
 
@@ -61,17 +59,6 @@ struct GbtTree {
   std::vector<GbtNode> nodes;
 };
 
-/// Snapshot of a fitted ensemble for warm-started rolling re-fits: the
-/// carried trees keep their raw thresholds (valid on a later year's feature
-/// encoding of the same schema), and `streams_used` continues the RNG fork
-/// sequence across the lineage.
-struct GbtWarmState {
-  std::vector<GbtTree> trees;
-  double base_score = 0.0;
-  std::uint64_t streams_used = 0;
-  std::size_t feature_dim = 0;
-};
-
 class GbtModel : public core::FailureModel {
  public:
   explicit GbtModel(GbtConfig config = GbtConfig());
@@ -84,13 +71,6 @@ class GbtModel : public core::FailureModel {
       const core::ModelInput& input,
       const core::ScoreOptions& options) override;
 
-  /// Snapshot of the fitted ensemble (valid after a successful Fit).
-  GbtWarmState warm_state() const;
-  /// Arms the next Fit to keep `state`'s trees and base score and run only
-  /// warm_top_up_rounds additional boosting rounds on the new data. A state
-  /// whose feature_dim disagrees with the input is ignored (cold fit).
-  void SetWarmStart(GbtWarmState state);
-
   std::size_t num_trees() const { return trees_.size(); }
 
  private:
@@ -101,9 +81,6 @@ class GbtModel : public core::FailureModel {
   std::size_t feature_dim_ = 0;
   double base_score_ = 0.0;
   std::vector<GbtTree> trees_;
-  std::uint64_t streams_used_ = 0;
-  bool has_warm_ = false;
-  GbtWarmState warm_;
 };
 
 }  // namespace baselines

@@ -13,8 +13,7 @@ namespace baselines {
 
 namespace {
 
-// Stream tag for the forest's master RNG (one fork per tree, ever, across
-// the warm-start lineage).
+// Stream tag for the forest's master RNG (one fork per tree).
 constexpr std::uint64_t kRsfStream = 0xF0153;
 
 struct TreeBuilder {
@@ -198,15 +197,6 @@ double LogRankScan::Stat(double threshold) const {
 
 RsfModel::RsfModel(RsfConfig config) : config_(config) {}
 
-void RsfModel::SetWarmStart(RsfWarmState state) {
-  warm_ = std::move(state);
-  has_warm_ = true;
-}
-
-RsfWarmState RsfModel::warm_state() const {
-  return RsfWarmState{trees_, streams_used_, feature_dim_};
-}
-
 Status RsfModel::Fit(const core::ModelInput& input) {
   const std::size_t n = input.num_pipes();
   if (n == 0) return Status::InvalidArgument("no pipes to fit");
@@ -222,44 +212,23 @@ Status RsfModel::Fit(const core::ModelInput& input) {
     return Status::FailedPrecondition("no failure events in training window");
   }
 
-  // Warm start: carry the previous forest (newest-first retention under the
-  // num_trees cap) and grow only the top-up trees on the new data. The RNG
-  // fork sequence continues from the lineage's stream counter, so a warm
-  // fit never re-uses a stream an earlier year consumed.
-  std::vector<RsfTree> carried;
-  std::uint64_t stream_base = 0;
-  int new_trees = std::max(config_.num_trees, 1);
-  if (has_warm_ && !warm_.trees.empty() && warm_.feature_dim == d) {
-    new_trees = std::min(std::max(config_.warm_top_up_trees, 1),
-                         std::max(config_.num_trees, 1));
-    std::size_t keep = static_cast<std::size_t>(
-        std::max(config_.num_trees, 1) - new_trees);
-    std::size_t drop =
-        warm_.trees.size() > keep ? warm_.trees.size() - keep : 0;
-    carried.assign(warm_.trees.begin() + static_cast<std::ptrdiff_t>(drop),
-                   warm_.trees.end());
-    stream_base = warm_.streams_used;
-  }
-  has_warm_ = false;
-  warm_ = RsfWarmState{};
-
+  const int num_trees = std::max(config_.num_trees, 1);
   int mtry = config_.num_split_features > 0
                  ? std::min<int>(config_.num_split_features,
                                  static_cast<int>(d))
                  : std::max(1, static_cast<int>(std::ceil(
                                    std::sqrt(static_cast<double>(d)))));
 
-  // Pre-fork one stream per tree, indexed by lifetime tree number, before
-  // any parallel work starts — the determinism contract from thread_pool.h.
+  // Pre-fork one stream per tree, indexed by tree number, before any
+  // parallel work starts — the determinism contract from thread_pool.h.
   stats::Rng master(config_.seed, kRsfStream);
-  for (std::uint64_t s = 0; s < stream_base; ++s) master.Fork();
   std::vector<stats::Rng> tree_rngs;
-  tree_rngs.reserve(static_cast<std::size_t>(new_trees));
-  for (int t = 0; t < new_trees; ++t) tree_rngs.push_back(master.Fork());
+  tree_rngs.reserve(static_cast<std::size_t>(num_trees));
+  for (int t = 0; t < num_trees; ++t) tree_rngs.push_back(master.Fork());
 
-  std::vector<RsfTree> grown(static_cast<std::size_t>(new_trees));
+  std::vector<RsfTree> grown(static_cast<std::size_t>(num_trees));
   ThreadPool::Shared().ParallelFor(
-      new_trees, config_.num_fit_threads, [&](int t) {
+      num_trees, config_.num_fit_threads, [&](int t) {
         stats::Rng rng = tree_rngs[static_cast<std::size_t>(t)];
         std::vector<std::size_t> members(n);
         for (std::size_t i = 0; i < n; ++i) {
@@ -271,9 +240,7 @@ Status RsfModel::Fit(const core::ModelInput& input) {
         builder.Build(members, 0);
       });
 
-  trees_ = std::move(carried);
-  for (auto& t : grown) trees_.push_back(std::move(t));
-  streams_used_ = stream_base + static_cast<std::uint64_t>(new_trees);
+  trees_ = std::move(grown);
   feature_dim_ = d;
   fitted_ = true;
   return Status::OK();

@@ -34,8 +34,6 @@ struct RsfConfig {
   /// pre-forked RNG stream and writes its own slot, so the forest is
   /// bit-identical for every thread count.
   int num_fit_threads = 1;
-  /// Trees grown on the new data when warm-starting from a previous fit.
-  int warm_top_up_trees = 12;
 };
 
 /// One binary tree node; leaf < 0 means internal (descend by
@@ -83,17 +81,6 @@ class LogRankScan {
   std::vector<double> entry_value_, exit_value_, event_value_;
 };
 
-/// Portable snapshot of a fitted forest for warm-started rolling re-fits:
-/// the trees carry raw (unstandardised-agnostic) thresholds, so they can
-/// score a later year's input directly; `streams_used` records how many RNG
-/// streams this model lineage has consumed so top-up trees continue the
-/// fork sequence instead of re-using streams.
-struct RsfWarmState {
-  std::vector<RsfTree> trees;
-  std::uint64_t streams_used = 0;
-  std::size_t feature_dim = 0;
-};
-
 class RsfModel : public core::FailureModel {
  public:
   explicit RsfModel(RsfConfig config = RsfConfig());
@@ -106,13 +93,6 @@ class RsfModel : public core::FailureModel {
       const core::ModelInput& input,
       const core::ScoreOptions& options) override;
 
-  /// Snapshot of the fitted forest (valid after a successful Fit).
-  RsfWarmState warm_state() const;
-  /// Arms the next Fit to carry over `state`'s trees (oldest dropped to
-  /// respect num_trees) and grow only warm_top_up_trees new ones. A state
-  /// whose feature_dim disagrees with the input is ignored (cold fit).
-  void SetWarmStart(RsfWarmState state);
-
   std::size_t num_trees() const { return trees_.size(); }
 
  private:
@@ -122,9 +102,6 @@ class RsfModel : public core::FailureModel {
   bool fitted_ = false;
   std::size_t feature_dim_ = 0;
   std::vector<RsfTree> trees_;
-  std::uint64_t streams_used_ = 0;
-  bool has_warm_ = false;
-  RsfWarmState warm_;
 };
 
 }  // namespace baselines

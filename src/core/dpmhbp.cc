@@ -71,11 +71,6 @@ struct ChainDraws {
 
 DpmhbpModel::DpmhbpModel(DpmhbpConfig config) : config_(config) {}
 
-void DpmhbpModel::SetWarmStart(std::vector<ChainCheckpoint> state) {
-  warm_in_ = std::move(state);
-  has_warm_ = true;
-}
-
 double DpmhbpModel::mean_num_groups() const {
   if (k_trace_.empty()) return 0.0;
   double s = std::accumulate(k_trace_.begin(), k_trace_.end(), 0.0);
@@ -99,32 +94,6 @@ Status DpmhbpModel::Fit(const ModelInput& input) {
       std::min(ResolveSweepThreads(h.sweep_threads),
                ThreadPool::Shared().num_workers() + 1);
   const bool parallel_sweep = exec_threads > 1;
-
-  // Warm start: usable only when the injected state matches this input's
-  // chain count and segment count, with internally consistent group
-  // sections — otherwise fall back to a cold fit. One-shot: the armed state
-  // is consumed whether or not it was usable.
-  std::vector<ChainCheckpoint> warm = std::move(warm_in_);
-  bool use_warm =
-      has_warm_ && warm.size() == static_cast<size_t>(h.num_chains);
-  for (const ChainCheckpoint& c : warm) {
-    if (!use_warm) break;
-    use_warm = c.labels.size() == n &&
-               c.group_count.size() == c.group_q.size() &&
-               c.adapters.size() == c.group_q.size();
-    for (int label : c.labels) {
-      if (label < 0 || static_cast<size_t>(label) >= c.group_q.size()) {
-        use_warm = false;
-        break;
-      }
-    }
-  }
-  has_warm_ = false;
-  warm_in_.clear();
-  const int burn_in =
-      use_warm ? (h.warm_burn_in >= 0 ? h.warm_burn_in
-                                      : std::max(1, h.burn_in / 4))
-               : h.burn_in;
 
   // Shared read-only inputs, computed once: the covariate multipliers and
   // the empirical top-level prior mean. Every chain sees identical values.
@@ -243,7 +212,7 @@ Status DpmhbpModel::Fit(const ModelInput& input) {
     }
 
     // --- (4) Collect -----------------------------------------------------
-    if (iter >= burn_in) {
+    if (iter >= h.burn_in) {
       ++out->collected;
       out->k_trace.push_back(static_cast<int>(occupied));
       out->alpha_trace.push_back(*alpha);
@@ -271,32 +240,13 @@ Status DpmhbpModel::Fit(const ModelInput& input) {
     ChainDraws& out = draws[static_cast<size_t>(chain)];
     out = ChainDraws();
     out.prob_sum.assign(n, 0.0);
-    if (use_warm) {
-      // Sampler state only (partition, group rates, adapters, alpha);
-      // counts are recomputed from the labels, and accumulators, cache and
-      // the chain RNG stream start fresh for the new data.
-      const ChainCheckpoint& w = warm[static_cast<size_t>(chain)];
-      out.labels = w.labels;
-      s.groups.assign(w.group_q.size(), Group());
-      for (size_t g = 0; g < w.group_q.size(); ++g) {
-        s.groups[g].q = w.group_q[g];
-        s.groups[g].adapter.RestoreState(StepSizeAdapter::State{
-            w.adapters[g].step, w.adapters[g].proposals,
-            w.adapters[g].accepts});
-      }
-      for (size_t row = 0; row < n; ++row) {
-        s.groups[static_cast<size_t>(out.labels[row])].count += 1;
-      }
-      s.alpha = std::clamp(w.alpha, 1e-3, 1e3);
-    } else {
-      out.labels = init_labels;
-      s.groups.assign(init_q.size(), Group());
-      for (size_t g = 0; g < s.groups.size(); ++g) s.groups[g].q = init_q[g];
-      for (size_t row = 0; row < n; ++row) {
-        s.groups[static_cast<size_t>(out.labels[row])].count += 1;
-      }
-      s.alpha = config_.alpha;
+    out.labels = init_labels;
+    s.groups.assign(init_q.size(), Group());
+    for (size_t g = 0; g < s.groups.size(); ++g) s.groups[g].q = init_q[g];
+    for (size_t row = 0; row < n; ++row) {
+      s.groups[static_cast<size_t>(out.labels[row])].count += 1;
     }
+    s.alpha = config_.alpha;
     s.cache = GroupLikelihoodCache(&classes);
   };
 
@@ -528,8 +478,6 @@ Status DpmhbpModel::Fit(const ModelInput& input) {
       s.props.push_back(
           DrawLogitProposal(groups[g].q, groups[g].adapter.step(), rng));
     }
-    SweepMetrics::Get().predrawn_proposals->Add(
-        static_cast<std::int64_t>(s.props.size()));
     const size_t work = s.prop_groups.size();
     s.prop_ll.assign(work, 0.0);
     s.current_ll.assign(groups.size(), 0.0);
@@ -568,7 +516,7 @@ Status DpmhbpModel::Fit(const ModelInput& input) {
       }
       ++out.proposals;
       out.accepts += accepted ? 1 : 0;
-      if (iter < burn_in) groups[g].adapter.Update(accepted);
+      if (iter < h.burn_in) groups[g].adapter.Update(accepted);
     }
   };
 
@@ -686,8 +634,7 @@ Status DpmhbpModel::Fit(const ModelInput& input) {
       .Add(static_cast<std::uint64_t>(n))
       .Add(h.seed)
       .Add(h.num_chains)
-      .Add(burn_in)
-      .Add(use_warm)
+      .Add(h.burn_in)
       .Add(h.samples)
       .Add(q0)
       .Add(h.c0)
@@ -712,7 +659,7 @@ Status DpmhbpModel::Fit(const ModelInput& input) {
   run_options.num_threads = h.num_threads;
   run_options.seed = h.seed;
   run_options.stream = kDpmhbpStream;
-  run_options.total_sweeps = burn_in + h.samples;
+  run_options.total_sweeps = h.burn_in + h.samples;
   run_options.fingerprint = fp.digest();
   run_options.checkpoint = h.checkpoint;
   if (run_options.checkpoint.tag.empty()) {
@@ -732,7 +679,7 @@ Status DpmhbpModel::Fit(const ModelInput& input) {
   // q_max is the label-switching-invariant live-R̂ trace, matching
   // DiagnoseDpmhbp's q_max diagnostic.
   program.monitor = [&](int chain, int iter, double* value) {
-    if (iter < burn_in) return false;
+    if (iter < h.burn_in) return false;
     const std::vector<double>& trace =
         draws[static_cast<size_t>(chain)].qmax_trace;
     if (trace.empty()) return false;
@@ -758,16 +705,6 @@ Status DpmhbpModel::Fit(const ModelInput& input) {
         states[static_cast<size_t>(c)]->cache.hits();
     draws[static_cast<size_t>(c)].cache_misses =
         states[static_cast<size_t>(c)]->cache.misses();
-  }
-
-  // Snapshot the end-of-run sampler state for warm-started sequential
-  // re-fits (next year's Fit consumes it via SetWarmStart).
-  warm_out_.clear();
-  if (h.capture_warm_state) {
-    warm_out_.resize(static_cast<size_t>(num_chains));
-    for (int c = 0; c < num_chains; ++c) {
-      capture_chain(c, &warm_out_[static_cast<size_t>(c)]);
-    }
   }
 
   // --- pool the surviving chains (deterministic chain order, so pooled

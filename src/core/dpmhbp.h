@@ -78,14 +78,6 @@ class DpmhbpModel : public FailureModel {
   /// Posterior mean number of groups.
   double mean_num_groups() const;
 
-  /// End-of-run sampler state per chain (labels, group rates/counts,
-  /// adapters, alpha), captured when hierarchy.capture_warm_state is set.
-  const std::vector<ChainCheckpoint>& warm_state() const { return warm_out_; }
-  /// Arms the next Fit to start every chain from `state` (one checkpoint
-  /// per chain) and burn in for only hierarchy.warm_burn_in sweeps. A state
-  /// whose shape disagrees with the input is ignored (cold fit).
-  void SetWarmStart(std::vector<ChainCheckpoint> state);
-
  private:
   DpmhbpConfig config_;
   bool fitted_ = false;
@@ -96,9 +88,6 @@ class DpmhbpModel : public FailureModel {
   std::vector<std::vector<int>> k_chain_traces_;
   std::vector<std::vector<double>> alpha_chain_traces_;
   std::vector<std::vector<double>> qmax_chain_traces_;
-  bool has_warm_ = false;
-  std::vector<ChainCheckpoint> warm_in_;
-  std::vector<ChainCheckpoint> warm_out_;
 };
 
 }  // namespace core

@@ -200,11 +200,6 @@ std::vector<PipeCounts> BuildPipeCounts(const ModelInput& input) {
 HbpModel::HbpModel(GroupingScheme scheme, HierarchyConfig config)
     : scheme_(scheme), config_(config) {}
 
-void HbpModel::SetWarmStart(std::vector<ChainCheckpoint> state) {
-  warm_in_ = std::move(state);
-  has_warm_ = true;
-}
-
 std::string HbpModel::name() const {
   return "HBP(" + std::string(ToString(scheme_)) + ")";
 }
@@ -245,24 +240,6 @@ Status HbpModel::Fit(const ModelInput& input) {
   labels_ = AssignFixedPipeGroups(input, scheme_);
   const int num_groups = 1 + *std::max_element(labels_.begin(), labels_.end());
   std::vector<PipeCounts> counts = BuildPipeCounts(input);
-
-  // Warm start: usable only when the injected state matches this input's
-  // chain count and grouping shape — otherwise fall back to a cold fit.
-  // One-shot: the armed state is consumed whether or not it was usable.
-  std::vector<ChainCheckpoint> warm = std::move(warm_in_);
-  bool use_warm = has_warm_ &&
-                  warm.size() == static_cast<size_t>(config_.num_chains);
-  for (const ChainCheckpoint& c : warm) {
-    if (!use_warm) break;
-    use_warm = c.group_q.size() == static_cast<size_t>(num_groups) &&
-               c.adapters.size() == static_cast<size_t>(num_groups);
-  }
-  has_warm_ = false;
-  warm_in_.clear();
-  const int burn_in =
-      use_warm ? (config_.warm_burn_in >= 0 ? config_.warm_burn_in
-                                            : std::max(1, config_.burn_in / 4))
-               : config_.burn_in;
 
   // Covariate multipliers from pipe features, with the length column
   // removed: the HBP baseline is length-blind by construction.
@@ -391,17 +368,6 @@ Status HbpModel::Fit(const ModelInput& input) {
     out.traces.assign(static_cast<size_t>(num_groups), {});
     s.q = init_q;
     s.adapters.assign(static_cast<size_t>(num_groups), StepSizeAdapter());
-    if (use_warm) {
-      // Sampler state only (rates + step-size adapters); accumulators and
-      // the chain RNG stream start fresh for the new data.
-      const ChainCheckpoint& w = warm[static_cast<size_t>(chain)];
-      s.q = w.group_q;
-      for (size_t g = 0; g < w.adapters.size(); ++g) {
-        s.adapters[g].RestoreState(StepSizeAdapter::State{
-            w.adapters[g].step, w.adapters[g].proposals,
-            w.adapters[g].accepts});
-      }
-    }
     refresh_current_ll(s);
   };
 
@@ -421,7 +387,6 @@ Status HbpModel::Fit(const ModelInput& input) {
           s.q[static_cast<size_t>(g)],
           s.adapters[static_cast<size_t>(g)].step(), rng));
     }
-    SweepMetrics::Get().predrawn_proposals->Add(num_groups);
     s.prop_ll.assign(static_cast<size_t>(num_groups), 0.0);
     const int blocks = std::min(num_groups, exec_threads);
     ThreadPool::Shared().ParallelFor(blocks, exec_threads, [&](int b) {
@@ -438,11 +403,11 @@ Status HbpModel::Fit(const ModelInput& input) {
       const bool accepted = AcceptLogitProposal(
           s.props[gi], s.q[gi], s.prop_ll[gi], &s.current_ll[gi]);
       if (accepted) s.q[gi] = s.props[gi].proposal;
-      if (iter < burn_in) s.adapters[gi].Update(accepted);
+      if (iter < config_.burn_in) s.adapters[gi].Update(accepted);
       ++out.proposals;
       out.accepts += accepted ? 1 : 0;
     }
-    if (iter >= burn_in) {
+    if (iter >= config_.burn_in) {
       ++out.collected;
       for (int g = 0; g < num_groups; ++g) {
         out.rate_sum[static_cast<size_t>(g)] += s.q[g];
@@ -515,8 +480,7 @@ Status HbpModel::Fit(const ModelInput& input) {
       .Add(num_groups)
       .Add(config_.seed)
       .Add(config_.num_chains)
-      .Add(burn_in)
-      .Add(use_warm)
+      .Add(config_.burn_in)
       .Add(config_.samples)
       .Add(q0)
       .Add(config_.c0)
@@ -533,7 +497,7 @@ Status HbpModel::Fit(const ModelInput& input) {
   run_options.num_threads = config_.num_threads;
   run_options.seed = config_.seed;
   run_options.stream = kHbpStream;
-  run_options.total_sweeps = burn_in + config_.samples;
+  run_options.total_sweeps = config_.burn_in + config_.samples;
   run_options.fingerprint = fp.digest();
   run_options.checkpoint = config_.checkpoint;
   if (run_options.checkpoint.tag.empty()) {
@@ -553,7 +517,7 @@ Status HbpModel::Fit(const ModelInput& input) {
   // Heartbeat feeds: the max group rate of the latest retained draw (the
   // grouping is fixed, so the max is stable and comparable across chains).
   program.monitor = [&](int chain, int iter, double* value) {
-    if (iter < burn_in) return false;
+    if (iter < config_.burn_in) return false;
     const ChainDraws& d = draws[static_cast<size_t>(chain)];
     double max_rate = 0.0;
     bool have = false;
@@ -578,16 +542,6 @@ Status HbpModel::Fit(const ModelInput& input) {
   std::vector<char> chain_failed(static_cast<size_t>(num_chains), 0);
   for (int c : report.failed_chains) {
     chain_failed[static_cast<size_t>(c)] = 1;
-  }
-
-  // Snapshot the end-of-run sampler state for warm-started sequential
-  // re-fits (next year's Fit consumes it via SetWarmStart).
-  warm_out_.clear();
-  if (config_.capture_warm_state) {
-    warm_out_.resize(static_cast<size_t>(num_chains));
-    for (int c = 0; c < num_chains; ++c) {
-      capture_chain(c, &warm_out_[static_cast<size_t>(c)]);
-    }
   }
 
   // Pool the surviving chains in deterministic chain order: posterior means

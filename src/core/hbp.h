@@ -76,16 +76,6 @@ struct HierarchyConfig {
   /// fingerprinted, never touches the chain RNG streams, so heartbeat-enabled
   /// fits stay bit-identical.
   HeartbeatConfig heartbeat;
-  /// Warm-started sequential re-fits (eval/rolling --warm-start): when true,
-  /// Fit snapshots the end-of-run sampler state of every chain so the next
-  /// year's fit can start from it via SetWarmStart.
-  bool capture_warm_state = false;
-  /// Burn-in used when a warm state was injected (< 0: burn_in / 4, at
-  /// least 1) — the chains start near the posterior, so most of the cold
-  /// burn-in is unnecessary. Warm fits use a different effective burn-in and
-  /// starting point, so they are statistically equivalent to cold fits, not
-  /// bit-identical.
-  int warm_burn_in = -1;
 };
 
 /// The checks every hierarchical fit (HBP, DPMHBP, streaming HBP) runs
@@ -133,14 +123,6 @@ class HbpModel : public FailureModel {
     return chain_traces_;
   }
 
-  /// End-of-run sampler state per chain, captured when
-  /// config.capture_warm_state is set (empty otherwise).
-  const std::vector<ChainCheckpoint>& warm_state() const { return warm_out_; }
-  /// Arms the next Fit to start every chain from `state` (one checkpoint
-  /// per chain) and burn in for only warm_burn_in sweeps. A state whose
-  /// shape disagrees with the input's grouping is ignored (cold fit).
-  void SetWarmStart(std::vector<ChainCheckpoint> state);
-
  private:
   GroupingScheme scheme_;
   HierarchyConfig config_;
@@ -150,9 +132,6 @@ class HbpModel : public FailureModel {
   std::vector<double> group_rate_means_;
   std::vector<std::vector<double>> traces_;
   std::vector<std::vector<std::vector<double>>> chain_traces_;
-  bool has_warm_ = false;
-  std::vector<ChainCheckpoint> warm_in_;
-  std::vector<ChainCheckpoint> warm_out_;
 };
 
 /// Scores pipes from per-segment failure probabilities:

@@ -17,7 +17,6 @@ const SweepMetrics& SweepMetrics::Get() {
     m.parallel_sweeps = registry.GetCounter("core.sweep.parallel_sweeps");
     m.serial_sweeps = registry.GetCounter("core.sweep.serial_sweeps");
     m.column_refreshes = registry.GetCounter("core.sweep.column_refreshes");
-    m.predrawn_proposals = registry.GetCounter("core.sweep.predrawn_proposals");
     return m;
   }();
   return metrics;

@@ -29,8 +29,6 @@ struct SweepMetrics {
   telemetry::Counter* serial_sweeps;      ///< sweeps on the serial path
   telemetry::Counter* column_refreshes;   ///< stale columns refreshed in a
                                           ///< prefetch
-  telemetry::Counter* predrawn_proposals; ///< Metropolis proposals pre-drawn
-                                          ///< by the serial coordinator
 
   static const SweepMetrics& Get();
 };

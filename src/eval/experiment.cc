@@ -116,12 +116,6 @@ void FitAndRecord(core::FailureModel* model, const core::ModelInput& input,
 
 Result<RegionExperiment> RunRegionExperiment(const data::RegionDataset& dataset,
                                              const ExperimentConfig& config) {
-  return RunRegionExperiment(dataset, config, /*warm=*/nullptr);
-}
-
-Result<RegionExperiment> RunRegionExperiment(const data::RegionDataset& dataset,
-                                             const ExperimentConfig& config,
-                                             ModelWarmStates* warm) {
   auto input = core::ModelInput::Build(dataset, config.split, config.category,
                                        config.features);
   if (!input.ok()) return input.status();
@@ -132,7 +126,6 @@ Result<RegionExperiment> RunRegionExperiment(const data::RegionDataset& dataset,
 
   core::HierarchyConfig hierarchy = config.hierarchy;
   hierarchy.seed = config.seed;
-  if (warm != nullptr) hierarchy.capture_warm_state = true;
   core::ScoreOptions score_options;
   score_options.num_threads = hierarchy.num_threads;
 
@@ -141,28 +134,13 @@ Result<RegionExperiment> RunRegionExperiment(const data::RegionDataset& dataset,
     core::DpmhbpConfig dc;
     dc.hierarchy = hierarchy;
     core::DpmhbpModel dpmhbp(dc);
-    if (warm != nullptr && !warm->dpmhbp.empty()) {
-      dpmhbp.SetWarmStart(warm->dpmhbp);
-    }
     FitAndRecord(&dpmhbp, experiment.input, score_options, &experiment,
                  /*is_hbp=*/false);
-    if (warm != nullptr && !dpmhbp.warm_state().empty()) {
-      warm->dpmhbp = dpmhbp.warm_state();
-    }
   }
   for (core::GroupingScheme scheme : config.hbp_groupings) {
     core::HbpModel hbp(scheme, hierarchy);
-    if (warm != nullptr) {
-      auto it = warm->hbp.find(scheme);
-      if (it != warm->hbp.end() && !it->second.empty()) {
-        hbp.SetWarmStart(it->second);
-      }
-    }
     FitAndRecord(&hbp, experiment.input, score_options, &experiment,
                  /*is_hbp=*/true);
-    if (warm != nullptr && !hbp.warm_state().empty()) {
-      warm->hbp[scheme] = hbp.warm_state();
-    }
   }
   {
     baselines::CoxModel cox;
@@ -183,26 +161,14 @@ Result<RegionExperiment> RunRegionExperiment(const data::RegionDataset& dataset,
     rc.seed = config.seed + 3;
     rc.num_fit_threads = hierarchy.num_threads;
     baselines::RsfModel rsf(rc);
-    if (warm != nullptr && !warm->rsf.trees.empty()) {
-      rsf.SetWarmStart(warm->rsf);
-    }
     FitAndRecord(&rsf, experiment.input, score_options, &experiment, false);
-    if (warm != nullptr && !rsf.warm_state().trees.empty()) {
-      warm->rsf = rsf.warm_state();
-    }
   }
   {
     baselines::GbtConfig gc = config.gbt;
     gc.seed = config.seed + 4;
     gc.num_fit_threads = hierarchy.num_threads;
     baselines::GbtModel gbt(gc);
-    if (warm != nullptr && !warm->gbt.trees.empty()) {
-      gbt.SetWarmStart(warm->gbt);
-    }
     FitAndRecord(&gbt, experiment.input, score_options, &experiment, false);
-    if (warm != nullptr && !gbt.warm_state().trees.empty()) {
-      warm->gbt = gbt.warm_state();
-    }
   }
 
   // --- extended suite -------------------------------------------------------

@@ -2,7 +2,6 @@
 #define PIPERISK_EVAL_EXPERIMENT_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -51,17 +50,6 @@ struct ExperimentConfig {
   std::uint64_t seed = 2013;
 };
 
-/// Cross-fit warm-start cache for sequential re-fits (rolling --warm-start):
-/// the end-of-fit state of every warm-startable model family, harvested
-/// after one RunRegionExperiment call and injected into the next. Empty
-/// members mean "no state yet" and leave that family cold.
-struct ModelWarmStates {
-  std::vector<core::ChainCheckpoint> dpmhbp;
-  std::map<core::GroupingScheme, std::vector<core::ChainCheckpoint>> hbp;
-  baselines::RsfWarmState rsf;
-  baselines::GbtWarmState gbt;
-};
-
 /// One fitted model's evaluation record.
 struct ModelRun {
   std::string name;
@@ -102,16 +90,6 @@ struct RegionExperiment {
 /// Fits and evaluates the full suite on one region dataset.
 Result<RegionExperiment> RunRegionExperiment(const data::RegionDataset& dataset,
                                              const ExperimentConfig& config);
-
-/// Warm-capable variant: when `warm` is non-null, every warm-startable model
-/// (DPMHBP, the HBP groupings, RSF, GBT) is seeded from the cache's state
-/// before fitting (models validate the shape and silently fall back to a
-/// cold fit on mismatch) and the cache is refreshed with each model's
-/// end-of-fit state afterwards. `warm == nullptr` is exactly the cold
-/// overload above.
-Result<RegionExperiment> RunRegionExperiment(const data::RegionDataset& dataset,
-                                             const ExperimentConfig& config,
-                                             ModelWarmStates* warm);
 
 /// Generates the three paper regions (A, B, C) and runs the suite on each.
 /// Any per-region failure aborts the batch with its status.

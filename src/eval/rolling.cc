@@ -81,28 +81,14 @@ Result<RollingResult> RunRollingEvaluation(const data::RegionDataset& dataset,
   };
   std::vector<std::unique_ptr<Result<RegionExperiment>>> slots(
       static_cast<size_t>(num_years));
-  if (config.warm_start) {
-    // Warm re-fits chain year y's sampler/ensemble state into year y+1, so
-    // the year loop is inherently serial. Seeds are the same as the cold
-    // path's, keeping the two modes comparable year-for-year.
-    ModelWarmStates warm;
-    for (int i = 0; i < num_years; ++i) {
-      slots[static_cast<size_t>(i)] =
-          std::make_unique<Result<RegionExperiment>>(
-              RunRegionExperiment(dataset, year_config(i), &warm));
-    }
-  } else {
-    // Each year window retrains every model independently (its seed is a
-    // function of (experiment.seed, year index) alone), so the windows run
-    // as blocks on the shared pool into per-year slots; the sequential
-    // merge below then sees exactly what a serial loop would have produced.
-    ThreadPool::Shared().ParallelFor(
-        num_years, config.num_threads, [&](int i) {
-          slots[static_cast<size_t>(i)] =
-              std::make_unique<Result<RegionExperiment>>(
-                  RunRegionExperiment(dataset, year_config(i)));
-        });
-  }
+  // Each year window retrains every model independently (its seed is a
+  // function of (experiment.seed, year index) alone), so the windows run as
+  // blocks on the shared pool into per-year slots; the sequential merge
+  // below then sees exactly what a serial loop would have produced.
+  ThreadPool::Shared().ParallelFor(num_years, config.num_threads, [&](int i) {
+    slots[static_cast<size_t>(i)] = std::make_unique<Result<RegionExperiment>>(
+        RunRegionExperiment(dataset, year_config(i)));
+  });
 
   RollingResult out;
   for (net::Year y = config.first_test_year; y <= config.last_test_year; ++y) {

@@ -26,14 +26,6 @@ struct RollingConfig {
   /// and writes its own result slot; the per-year slots merge in year order
   /// afterwards, so results never depend on the thread count.
   int num_threads = 1;
-  /// Sequential warm-started re-fits: year y's warm-startable models
-  /// (DPMHBP, HBP, RSF, GBT) initialise from year y-1's end-of-fit state
-  /// instead of fitting cold. Forces the year loop serial (each year
-  /// depends on the previous one's state), trading the year-level
-  /// parallelism for much cheaper per-year fits. Per-year seeds are
-  /// unchanged, so warm and cold runs are comparable observation-for-
-  /// observation.
-  bool warm_start = false;
 };
 
 /// One model's metric series over the rolling test years.

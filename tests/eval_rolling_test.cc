@@ -116,49 +116,6 @@ TEST(RollingTest, YearSeedsComeFromADedicatedStream) {
   EXPECT_TRUE(RollingYearSeeds(1849, -3).empty());
 }
 
-TEST(RollingTest, WarmStartKeepsFirstYearAndAllSeries) {
-  // Warm-start reuses year y-1 state but keeps the per-year seeds, so year
-  // one (no predecessor) must match the cold run bit for bit, and every
-  // headline series must still span all years. Models with no warm-start
-  // path (Cox, SVMrank, Weibull) must be identical throughout.
-  const auto& shared = testutil::GetSharedRegion();
-  auto cold = RunRollingEvaluation(shared.dataset, FastRolling());
-  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-  RollingConfig config = FastRolling();
-  config.warm_start = true;
-  auto warm = RunRollingEvaluation(shared.dataset, config);
-  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-  ASSERT_EQ(warm->test_years, cold->test_years);
-  for (const char* model : {"DPMHBP", "HBP(best)", "Cox", "SVMrank",
-                            "Weibull", "RSF", "GBT"}) {
-    const RollingSeries* ws = warm->Find(model);
-    const RollingSeries* cs = cold->Find(model);
-    ASSERT_NE(ws, nullptr) << model;
-    ASSERT_NE(cs, nullptr) << model;
-    ASSERT_EQ(ws->auc_full.size(), cold->test_years.size()) << model;
-    // First year: no predecessor state exists, so warm == cold exactly.
-    EXPECT_TRUE(ws->auc_full[0] == cs->auc_full[0] ||
-                (std::isnan(ws->auc_full[0]) && std::isnan(cs->auc_full[0])))
-        << model;
-    // Warm continuation must stay in a sane ranking-quality band.
-    for (double auc : ws->auc_full) {
-      if (!std::isnan(auc)) {
-        EXPECT_GT(auc, 0.3) << model;
-        EXPECT_LE(auc, 1.0) << model;
-      }
-    }
-  }
-  for (const char* model : {"Cox", "SVMrank", "Weibull"}) {
-    const RollingSeries* ws = warm->Find(model);
-    const RollingSeries* cs = cold->Find(model);
-    for (size_t i = 0; i < ws->auc_full.size(); ++i) {
-      EXPECT_TRUE(ws->auc_full[i] == cs->auc_full[i] ||
-                  (std::isnan(ws->auc_full[i]) && std::isnan(cs->auc_full[i])))
-          << model << " year " << i;
-    }
-  }
-}
-
 TEST(RollingTest, ValidatesYearRange) {
   const auto& shared = testutil::GetSharedRegion();
   RollingConfig config = FastRolling();

@@ -360,13 +360,6 @@ grep -q "rolling cold over 2 years" rolling_cold.txt
 for model in DPMHBP Cox SVMrank Weibull RSF GBT; do
   grep -q "$model" rolling_cold.txt
 done
-# Warm-start keeps the per-year seeds, so the first test year (which has no
-# predecessor state) must reproduce the cold run's numbers exactly.
-"$BIN" rolling --data smoke --first-year 2008 --last-year 2009 \
-    --burn 10 --samples 20 --warm-start > rolling_warm.txt
-grep -q "rolling warm-start over 2 years" rolling_warm.txt
-diff <(awk '{print $2, $4}' rolling_cold.txt | tail -n +2) \
-     <(awk '{print $2, $4}' rolling_warm.txt | tail -n +2)
 
 echo "== error handling"
 if "$BIN" fit --data /nonexistent --model dpmhbp --out x.csv 2>/dev/null; then
@@ -430,5 +423,34 @@ rc=0
 "$BIN" fit --data-dir shards --model hbp --bogus-flag 7 --out flag_bad.csv \
     2>/dev/null || rc=$?
 test "$rc" -eq 2
+# So does every other command, in each of its forms, before it reads a
+# file or opens a socket. Each case is: the flag to be named, then the
+# command line. Every rolling fit is cold, so the flag that once asked for
+# a warm one is unknown too.
+while read -r flag args; do
+  rc=0
+  # shellcheck disable=SC2086
+  "$BIN" $args </dev/null 2>flag_err.txt || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "expected exit 2 for $args, got $rc" >&2
+    exit 1
+  fi
+  grep -q "^${args%% *}: unknown flag --$flag" flag_err.txt
+done <<'CASES'
+sed generate --region tiny --out flag_bad --sed 3
+sed generate --regions 1 --pipes 100 --out-dir flag_bad_shards --sed 3
+bogus convert --data smoke --out-dir flag_bad_shards --bogus 2
+bogus evaluate --data smoke --scores scores.csv --bogus 1
+bogus evaluate --data-dir shards --scores scores.csv --bogus 1
+bogus riskmap --data smoke --scores scores.csv --bogus 1
+budgt plan --data smoke --scores scores.csv --budgt 5
+bogus serve --data smoke --scores scores.csv --port 0 --bogus 1
+bogus serve --data-dir shards --scores scores.csv --port 0 --bogus 1
+bogus query --port 1 --verb ping --bogus 1
+bogus top --heartbeat flag_bad.json --plain --iterations 1 --bogus 1
+warm-start rolling --data smoke --burn 10 --samples 20 --warm-start
+CASES
+test ! -e flag_bad_pipes.csv
+test ! -e flag_bad_shards
 
 echo "CLI smoke test passed"

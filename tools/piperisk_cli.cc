@@ -89,18 +89,13 @@
 //       Fit the full model suite (DPMHBP, HBP groupings, Cox, SVMrank,
 //       Weibull, RSF, GBT) and print the comparison table.
 //
-//   rolling   --data PREFIX [--first-year Y] [--last-year Y] [--warm-start]
+//   rolling   --data PREFIX [--first-year Y] [--last-year Y]
 //             [--category ...] [--burn N] [--samples N] [--seed N]
 //             [--chains K] [--threads T]
 //       Rolling-origin evaluation: for each test year in [Y0, Y1] train
-//       every headline model on the expanding window ending the year
+//       every headline model cold on the expanding window ending the year
 //       before and score the test year; prints each model's per-year AUC
-//       series and its mean. --warm-start re-fits year y initialised from
-//       year y-1's end-of-fit state (MCMC chain snapshots for DPMHBP/HBP,
-//       tree-ensemble carry-over for RSF/GBT) — statistically equivalent
-//       rankings, but only about 1.03x faster than a cold run (see
-//       BENCH_models.json), and the year loop runs serially.
-//       Cold runs parallelise across years with --threads.
+//       series and its mean. Years run in parallel with --threads.
 //
 //   riskmap   --data PREFIX --scores SCORES.csv --out MAP.geojson
 //       Export the Fig. 18.9-style risk map.
@@ -128,8 +123,7 @@
 //       one block per sample instead of redrawing the screen; --iterations N
 //       exits after N samples (0 = run until interrupted).
 //
-// The MCMC commands (fit, compare, rolling, diagnose, tune) reject unknown
-// flags with exit code 2.
+// Every command rejects unknown flags with exit code 2 and names the flag.
 //
 // Global flags (any command):
 //   --log-level debug|info|warning|error|fatal
@@ -151,7 +145,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
-#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <string>
@@ -230,22 +223,27 @@ Result<core::ModelInput> LoadInput(const CommandLine& cl,
 }
 
 /// Rejects, with exit code 2 and the flag's name, any flag that is neither
-/// one HierarchyFlags reads (hierarchy, checkpoint, heartbeat), a global
-/// exporter or --log-level flag, nor one of the command's own `flags`.
-/// Returns 0 when every flag is known.
-int RejectUnknownFlags(const CommandLine& cl,
-                       std::initializer_list<const char*> flags) {
-  std::vector<std::string> known = {
-      "burn", "samples", "seed", "chains", "threads", "sweep-threads",
-      "checkpoint-dir", "checkpoint-every", "resume", "checkpoint-halt-after",
-      "heartbeat-file", "heartbeat-every",
-      "metrics-out", "trace-out", "log-level"};
-  known.insert(known.end(), flags.begin(), flags.end());
-  const std::vector<std::string> unknown = cl.UnknownFlags(known);
+/// a global exporter or --log-level flag nor one of the command's own
+/// `flags`. Returns 0 when every flag is known.
+int RejectUnknownFlags(const CommandLine& cl, std::vector<std::string> flags) {
+  flags.insert(flags.end(), {"metrics-out", "trace-out", "log-level"});
+  const std::vector<std::string> unknown = cl.UnknownFlags(flags);
   if (unknown.empty()) return 0;
   std::fprintf(stderr, "%s: unknown flag --%s\n", cl.command().c_str(),
                unknown.front().c_str());
   return 2;
+}
+
+/// RejectUnknownFlags for the MCMC commands, which also accept every flag
+/// HierarchyFlags reads (hierarchy, checkpoint, heartbeat).
+int RejectUnknownMcmcFlags(const CommandLine& cl,
+                           std::vector<std::string> flags) {
+  flags.insert(flags.end(),
+               {"burn", "samples", "seed", "chains", "threads",
+                "sweep-threads", "checkpoint-dir", "checkpoint-every",
+                "resume", "checkpoint-halt-after", "heartbeat-file",
+                "heartbeat-every"});
+  return RejectUnknownFlags(cl, std::move(flags));
 }
 
 Result<core::HierarchyConfig> HierarchyFlags(const CommandLine& cl) {
@@ -298,6 +296,10 @@ Result<int> ShardWindowFlag(const CommandLine& cl) {
 }
 
 int CmdGenerateSharded(const CommandLine& cl) {
+  if (int rc = RejectUnknownFlags(cl, {"regions", "out-dir", "seed", "pipes",
+                                       "connect", "threads"})) {
+    return rc;
+  }
   data::ShardedGenerateOptions options;
   auto regions = cl.GetInt32("regions", options.regions);
   if (!regions.ok()) return Fail(regions.status());
@@ -333,6 +335,10 @@ int CmdGenerateSharded(const CommandLine& cl) {
 
 int CmdGenerate(const CommandLine& cl) {
   if (cl.Has("regions") || cl.Has("out-dir")) return CmdGenerateSharded(cl);
+  if (int rc = RejectUnknownFlags(
+          cl, {"region", "out", "seed", "pipes", "connect"})) {
+    return rc;
+  }
   std::string region = ToLowerAscii(cl.GetString("region", "tiny"));
   std::string out = cl.GetString("out", "");
   if (out.empty()) {
@@ -377,6 +383,10 @@ int CmdGenerate(const CommandLine& cl) {
 // --- convert ----------------------------------------------------------------
 
 int CmdConvert(const CommandLine& cl) {
+  if (int rc = RejectUnknownFlags(
+          cl, {"data", "out-dir", "data-dir", "shard", "out"})) {
+    return rc;
+  }
   const std::string prefix = cl.GetString("data", "");
   const std::string out_dir = cl.GetString("out-dir", "");
   const std::string data_dir = cl.GetString("data-dir", "");
@@ -444,7 +454,7 @@ int CmdConvert(const CommandLine& cl) {
 // bounded-window RSS. Only the covariate-free HBP factors through per-group
 // (k, n) histograms, so only --model hbp is supported here.
 int CmdFitStreaming(const CommandLine& cl) {
-  if (int rc = RejectUnknownFlags(
+  if (int rc = RejectUnknownMcmcFlags(
           cl, {"data-dir", "out", "model", "category", "shard-window"})) {
     return rc;
   }
@@ -488,7 +498,8 @@ int CmdFitStreaming(const CommandLine& cl) {
 
 int CmdFit(const CommandLine& cl) {
   if (cl.Has("data-dir")) return CmdFitStreaming(cl);
-  if (int rc = RejectUnknownFlags(cl, {"data", "out", "model", "category"})) {
+  if (int rc =
+          RejectUnknownMcmcFlags(cl, {"data", "out", "model", "category"})) {
     return rc;
   }
   std::string prefix = cl.GetString("data", "");
@@ -688,6 +699,11 @@ int EvaluateRanking(const CommandLine& cl,
 }
 
 int CmdEvaluateStreaming(const CommandLine& cl) {
+  if (int rc = RejectUnknownFlags(
+          cl, {"data-dir", "scores", "category", "shard-window", "threads",
+               "per-pipe", "topk", "topk-out"})) {
+    return rc;
+  }
   const std::string dir = cl.GetString("data-dir", "");
   const std::string scores_path = cl.GetString("scores", "");
   if (scores_path.empty()) {
@@ -717,6 +733,10 @@ int CmdEvaluateStreaming(const CommandLine& cl) {
 
 int CmdEvaluate(const CommandLine& cl) {
   if (cl.Has("data-dir")) return CmdEvaluateStreaming(cl);
+  if (int rc = RejectUnknownFlags(cl, {"data", "scores", "category", "threads",
+                                       "per-pipe", "topk", "topk-out"})) {
+    return rc;
+  }
   std::string prefix = cl.GetString("data", "");
   std::string scores_path = cl.GetString("scores", "");
   if (prefix.empty() || scores_path.empty()) {
@@ -743,7 +763,7 @@ int CmdEvaluate(const CommandLine& cl) {
 }
 
 int CmdCompare(const CommandLine& cl) {
-  if (int rc = RejectUnknownFlags(cl, {"data", "category", "extended"})) {
+  if (int rc = RejectUnknownMcmcFlags(cl, {"data", "category", "extended"})) {
     return rc;
   }
   std::string prefix = cl.GetString("data", "");
@@ -776,8 +796,8 @@ int CmdCompare(const CommandLine& cl) {
 }
 
 int CmdRolling(const CommandLine& cl) {
-  if (int rc = RejectUnknownFlags(cl, {"data", "category", "first-year",
-                                       "last-year", "warm-start"})) {
+  if (int rc = RejectUnknownMcmcFlags(
+          cl, {"data", "category", "first-year", "last-year"})) {
     return rc;
   }
   std::string prefix = cl.GetString("data", "");
@@ -803,7 +823,6 @@ int CmdRolling(const CommandLine& cl) {
   config.experiment.seed = hierarchy->seed;
   config.experiment.category = *category;
   config.num_threads = hierarchy->num_threads;
-  config.warm_start = cl.GetBool("warm-start", false);
 
   auto result = eval::RunRollingEvaluation(*dataset, config);
   if (!result.ok()) return Fail(result.status());
@@ -828,14 +847,16 @@ int CmdRolling(const CommandLine& cl) {
     row.push_back(n > 0 ? StrFormat("%5.2f%%", sum / n * 100.0) : "-");
     table.AddRow(row);
   }
-  std::printf("rolling %s over %d years (full AUC, pipe-count budget)\n",
-              config.warm_start ? "warm-start" : "cold",
+  std::printf("rolling cold over %d years (full AUC, pipe-count budget)\n",
               static_cast<int>(result->test_years.size()));
   std::printf("%s", table.ToString().c_str());
   return 0;
 }
 
 int CmdRiskmap(const CommandLine& cl) {
+  if (int rc = RejectUnknownFlags(cl, {"data", "scores", "out", "category"})) {
+    return rc;
+  }
   std::string prefix = cl.GetString("data", "");
   std::string scores_path = cl.GetString("scores", "");
   std::string out = cl.GetString("out", "risk_map.geojson");
@@ -864,7 +885,7 @@ int CmdRiskmap(const CommandLine& cl) {
 }
 
 int CmdDiagnose(const CommandLine& cl) {
-  if (int rc = RejectUnknownFlags(cl, {"data", "category", "model"})) {
+  if (int rc = RejectUnknownMcmcFlags(cl, {"data", "category", "model"})) {
     return rc;
   }
   std::string prefix = cl.GetString("data", "");
@@ -906,7 +927,7 @@ int CmdDiagnose(const CommandLine& cl) {
 }
 
 int CmdTune(const CommandLine& cl) {
-  if (int rc = RejectUnknownFlags(cl, {"data", "category"})) return rc;
+  if (int rc = RejectUnknownMcmcFlags(cl, {"data", "category"})) return rc;
   std::string prefix = cl.GetString("data", "");
   if (prefix.empty()) {
     std::fprintf(stderr, "tune: --data PREFIX is required\n");
@@ -940,6 +961,10 @@ int CmdTune(const CommandLine& cl) {
 }
 
 int CmdPlan(const CommandLine& cl) {
+  if (int rc = RejectUnknownFlags(cl, {"data", "scores", "category", "budget",
+                                       "horizon", "out"})) {
+    return rc;
+  }
   std::string prefix = cl.GetString("data", "");
   std::string scores_path = cl.GetString("scores", "");
   if (prefix.empty() || scores_path.empty()) {
@@ -1094,6 +1119,12 @@ int RunServeLoop(
 }
 
 int CmdServeStreaming(const CommandLine& cl) {
+  if (int rc = RejectUnknownFlags(
+          cl, {"data-dir", "scores", "category", "shard-window", "unit-cost",
+               "host", "port", "port-file", "seed", "metrics-port",
+               "metrics-port-file"})) {
+    return rc;
+  }
   const std::string dir = cl.GetString("data-dir", "");
   const std::string scores_path = cl.GetString("scores", "");
   if (scores_path.empty()) {
@@ -1132,6 +1163,11 @@ int CmdServeStreaming(const CommandLine& cl) {
 
 int CmdServe(const CommandLine& cl) {
   if (cl.Has("data-dir")) return CmdServeStreaming(cl);
+  if (int rc = RejectUnknownFlags(
+          cl, {"data", "scores", "category", "unit-cost", "host", "port",
+               "port-file", "seed", "metrics-port", "metrics-port-file"})) {
+    return rc;
+  }
   std::string prefix = cl.GetString("data", "");
   std::string scores_path = cl.GetString("scores", "");
   if (prefix.empty() || scores_path.empty()) {
@@ -1165,6 +1201,10 @@ int CmdServe(const CommandLine& cl) {
 }
 
 int CmdQuery(const CommandLine& cl) {
+  if (int rc = RejectUnknownFlags(cl, {"port", "host", "verb", "pipe", "k",
+                                       "budget", "mode", "value", "out"})) {
+    return rc;
+  }
   auto port = cl.GetInt32("port", 0);
   if (!port.ok()) return Fail(port.status());
   if (*port <= 0) {
@@ -1329,7 +1369,14 @@ int Dispatch(const CommandLine& cl) {
   if (command == "diagnose") return CmdDiagnose(cl);
   if (command == "tune") return CmdTune(cl);
   if (command == "plan") return CmdPlan(cl);
-  if (command == "top") return tools::CmdTop(cl);
+  if (command == "top") {
+    if (int rc = RejectUnknownFlags(
+            cl, {"metrics-port", "metrics-host", "heartbeat", "interval",
+                 "iterations", "plain"})) {
+      return rc;
+    }
+    return tools::CmdTop(cl);
+  }
   return Usage();
 }
 

@@ -23,17 +23,9 @@
 # RSS grew more than 1.5x between streaming a quarter of the regions and
 # all of them (the out-of-core claim).
 #
-# The "models" suite drives bench/bench_models (cold vs warm-start rolling
-# re-fits over the full model family plus the survival-table and RSF/GBT
-# determinism gates) and records BENCH_models.json. Scale is tuned with
-# MODELS_PIPES / MODELS_FIRST_YEAR / MODELS_BURN / MODELS_SAMPLES. The gate
-# fails unless the survival sweep matched its quadratic reference, RSF/GBT
-# were bit-identical across thread counts, and the warm rolling pass was
-# not slower than the cold one.
-#
 # Environment:
 #   BUILD_DIR       CMake build tree containing bench/micro_* (default: build)
-#   BENCH_SUITES    space-separated subset of "core eval serve shards models"
+#   BENCH_SUITES    space-separated subset of "core eval serve shards"
 #                   (default: "core eval")
 #   BENCH_FILTER    --benchmark_filter regex (default: all benchmarks)
 #   BENCH_MIN_TIME  --benchmark_min_time seconds per benchmark (default: 0.2)
@@ -47,11 +39,6 @@
 #   SHARDS_REGIONS  shards suite region count (default: 48)
 #   SHARDS_PIPES    shards suite pipes per region (default: 25000)
 #   SHARDS_WINDOW   shards suite shard window (default: 4)
-#   MODELS_PIPES    models suite region size (default: 1200)
-#   MODELS_FIRST_YEAR / MODELS_LAST_YEAR
-#                   models suite rolling window (default: 2005..2009)
-#   MODELS_BURN / MODELS_SAMPLES
-#                   models suite MCMC scale (default: 30 / 60)
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -187,58 +174,11 @@ print(f"  gen {doc['generate']['pipes_per_s']:.0f} pipes/s, "
 EOF
 }
 
-run_models_suite() {
-  local bench_bin="$BUILD_DIR/bench/bench_models"
-  local bench_out="$REPO_ROOT/BENCH_models.json"
-  if [[ ! -x "$bench_bin" ]]; then
-    echo "error: $bench_bin not found or not executable." >&2
-    echo "Build it first: cmake --build \"$BUILD_DIR\" --target bench_models" >&2
-    exit 1
-  fi
-  local metrics_out="$REPO_ROOT/BENCH_models_metrics.json"
-  echo "== bench_models -> $bench_out (pipes=${MODELS_PIPES:-1200}," \
-       "years=${MODELS_FIRST_YEAR:-2005}..${MODELS_LAST_YEAR:-2009}," \
-       "burn=${MODELS_BURN:-30}, samples=${MODELS_SAMPLES:-60})"
-  PIPERISK_METRICS_OUT="$metrics_out" "$bench_bin" \
-    --pipes "${MODELS_PIPES:-1200}" \
-    --first-year "${MODELS_FIRST_YEAR:-2005}" \
-    --last-year "${MODELS_LAST_YEAR:-2009}" \
-    --burn "${MODELS_BURN:-30}" \
-    --samples "${MODELS_SAMPLES:-60}" \
-    --out "$bench_out"
-  python3 - "$bench_out" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-if doc.get("piperisk_build_type") != "Release":
-    sys.exit("error: recorded piperisk_build_type is not Release in " + sys.argv[1])
-if not doc["survival"]["identical"]:
-    sys.exit("error: survival sweep disagreed with the quadratic reference")
-if not (doc["rsf_thread_invariant"] and doc["gbt_thread_invariant"]):
-    sys.exit("error: RSF/GBT fits are not bit-identical across thread counts")
-rolling = doc["rolling"]
-names = {m["name"] for m in rolling["models"]}
-for required in ("DPMHBP", "RSF", "GBT"):
-    if required not in names:
-        sys.exit(f"error: rolling comparison is missing {required}")
-if rolling["speedup_x"] < 1.0:
-    sys.exit(f"error: warm rolling was slower than cold "
-             f"(x{rolling['speedup_x']:.2f})")
-print(f"  survival sweep x{doc['survival']['speedup_x']:.1f}, "
-      f"warm rolling x{rolling['speedup_x']:.2f} over {rolling['years']} years")
-for m in rolling["models"]:
-    print(f"  {m['name']:<10} cold {m['cold_mean_auc']:.4f} "
-          f"warm {m['warm_mean_auc']:.4f} ({m['auc_delta']:+.4f})")
-EOF
-}
-
 for suite in $BENCH_SUITES; do
   if [[ "$suite" == "serve" ]]; then
     run_serve_suite
   elif [[ "$suite" == "shards" ]]; then
     run_shards_suite
-  elif [[ "$suite" == "models" ]]; then
-    run_models_suite
   else
     run_suite "$suite"
   fi
