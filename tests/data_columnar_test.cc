@@ -13,6 +13,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/streaming_hbp.h"
@@ -405,6 +406,143 @@ TEST(StreamingHbpTest, RejectsInvalidHierarchy) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(fit_code([](core::HierarchyConfig& h) { h.samples = 0; }),
             StatusCode::kInvalidArgument);
+}
+
+std::uint64_t HashBytesOf(const void* data, size_t size, std::uint64_t hash) {
+  return testutil::Fnv1a(
+      std::string_view(static_cast<const char*>(data), size), hash);
+}
+
+template <typename T>
+std::uint64_t HashVector(const std::vector<T>& v, std::uint64_t hash) {
+  return HashBytesOf(v.data(), v.size() * sizeof(T), hash);
+}
+
+TEST(StreamingHbpTest, ArtefactsMatchGolden) {
+  // Pins, per grouping scheme, every bit the three streaming passes
+  // produce on a 3-region dataset: the fit (keys, means, q0), the scores
+  // CSV bytes, and the streamed evaluate arrays. All six schemes, because
+  // soil corrosiveness is the only key that reads a segment.
+  struct Golden {
+    core::GroupingScheme scheme;
+    std::uint64_t fit, scores, streamed;
+  };
+  const Golden kGolden[] = {
+      {core::GroupingScheme::kMaterial, 0xA695173C60641018ULL,
+       0x45AD359AA52491FEULL, 0x54C088C37F56C483ULL},
+      {core::GroupingScheme::kDiameterBand, 0x957D7DFB4FF53DA0ULL,
+       0x902B4156CD32EF6CULL, 0x18DB8925065D7DFCULL},
+      {core::GroupingScheme::kLaidDecade, 0x3F05B8F2A806AFD5ULL,
+       0x4EDBFD4A7CA977F7ULL, 0x865D0E330D3904B6ULL},
+      {core::GroupingScheme::kCoating, 0x15F5364BAAAE46ACULL,
+       0x31E53ED1F3DC5AC7ULL, 0x6FF54A460DF52BBDULL},
+      {core::GroupingScheme::kSoilCorrosiveness, 0xE3435CF7C9373AFCULL,
+       0xC1E162259DC848BAULL, 0x80EE5B2D52E6123AULL},
+      {core::GroupingScheme::kSingle, 0x45286F21AC49CD70ULL,
+       0x6377BCDC533C93CDULL, 0x7B8E26CAC191EDB1ULL},
+  };
+  const std::string dir = TempShardDir("golden_stream");
+  ASSERT_TRUE(GenerateShardedDataset(SmallOptions(dir, 3)).ok());
+  auto shards = ShardedDataset::Open(dir);
+  ASSERT_TRUE(shards.ok());
+  for (const Golden& golden : kGolden) {
+    SCOPED_TRACE(std::string(core::ToString(golden.scheme)));
+    core::StreamingHbpOptions options;
+    options.hierarchy = testutil::FastHierarchy();
+    options.scheme = golden.scheme;
+    options.shard_window = 2;
+    auto fit = core::FitStreamingHbp(*shards, options);
+    ASSERT_TRUE(fit.ok()) << fit.status().ToString();
+    std::uint64_t fit_hash = HashVector(fit->raw_keys, testutil::Fnv1a(""));
+    fit_hash = HashVector(fit->group_rate_means, fit_hash);
+    fit_hash = HashVector(fit->group_tilted_means, fit_hash);
+    fit_hash = HashBytesOf(&fit->q0, sizeof(fit->q0), fit_hash);
+    EXPECT_EQ(fit_hash, golden.fit);
+
+    const std::string out = dir + "/scores.csv";
+    ASSERT_TRUE(core::ScoreStreamingHbp(*shards, *fit, options, out).ok());
+    EXPECT_EQ(testutil::Fnv1a(ReadBytes(out)), golden.scores);
+
+    auto streamed = eval::BuildStreamedScoredPipes(
+        *shards, net::PipeCategory::kCriticalMain, out, 2);
+    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+    std::uint64_t hash = HashVector(streamed->ids, testutil::Fnv1a(""));
+    hash = HashVector(streamed->scores, hash);
+    hash = HashVector(streamed->test_failures, hash);
+    hash = HashVector(streamed->lengths_m, hash);
+    hash = HashBytesOf(&streamed->test_year, sizeof(streamed->test_year),
+                       hash);
+    EXPECT_EQ(hash, golden.streamed);
+  }
+}
+
+TEST(StreamingHbpTest, EveryPassRejectsAPipeWithoutSegments) {
+  // A shard whose critical-main pipe has no segment rows loads (Validate
+  // accepts it), but none of the streaming passes may silently treat it
+  // as a pipe: each fails naming it.
+  const std::string dir = TempShardDir("no_segments");
+  ASSERT_TRUE(GenerateShardedDataset(SmallOptions(dir, 1)).ok());
+  auto source_shards = ShardedDataset::Open(dir);
+  ASSERT_TRUE(source_shards.ok());
+  auto source = source_shards->LoadShardDataset(0);
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+
+  net::PipeId bare = net::kInvalidId;
+  for (const net::Pipe& p : source->network.pipes()) {
+    if (p.category == net::PipeCategory::kCriticalMain) {
+      bare = p.id;
+      break;
+    }
+  }
+  ASSERT_NE(bare, net::kInvalidId);
+  RegionDataset dataset;
+  dataset.config = source->config;
+  dataset.network = net::Network(source->network.region());
+  for (net::Pipe p : source->network.pipes()) {
+    p.segments.clear();
+    ASSERT_TRUE(dataset.network.AddPipe(std::move(p)).ok());
+  }
+  for (const net::PipeSegment& s : source->network.segments()) {
+    if (s.pipe_id == bare) continue;
+    ASSERT_TRUE(dataset.network.AddSegment(s).ok());
+  }
+  for (const net::FailureRecord& r : source->failures.records()) {
+    if (r.pipe_id != bare) dataset.failures.Add(r);
+  }
+  ASSERT_TRUE(WriteShard(dataset, dir + "/" + ShardFileName(0)).ok());
+  ShardInfo info = source_shards->shards()[0];
+  info.segments = dataset.network.num_segments();
+  info.failures = dataset.failures.size();
+  ASSERT_TRUE(WriteManifest(dir, {info}).ok());
+  auto shards = ShardedDataset::Open(dir);
+  ASSERT_TRUE(shards.ok()) << shards.status().ToString();
+  ASSERT_TRUE(shards->LoadShardDataset(0).ok());
+
+  const std::string expected =
+      "pipe " + std::to_string(bare) + " has no segments";
+  auto expect_rejected = [&](const Status& st, const char* pass) {
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << pass;
+    EXPECT_NE(st.message().find(expected), std::string::npos)
+        << pass << ": " << st.ToString();
+  };
+  core::StreamingHbpOptions options;
+  options.hierarchy = testutil::FastHierarchy();
+  expect_rejected(core::FitStreamingHbp(*shards, options).status(), "fit");
+
+  core::StreamingHbpFit fit;
+  fit.raw_keys = {0};
+  fit.group_rate_means = {0.01};
+  fit.group_tilted_means = {0.01};
+  fit.q0 = 0.01;
+  const std::string out = dir + "/scores.csv";
+  expect_rejected(core::ScoreStreamingHbp(*shards, fit, options, out),
+                  "score");
+
+  WriteBytes(out, "pipe_id,score\n" + std::to_string(bare) + ",0.5\n");
+  expect_rejected(eval::BuildStreamedScoredPipes(
+                      *shards, net::PipeCategory::kCriticalMain, out, 1)
+                      .status(),
+                  "join");
 }
 
 TEST(StreamingEvalTest, ScoresReaderParsesAndRejects) {
