@@ -73,9 +73,8 @@ std::string_view ToString(GroupingScheme scheme) {
   return "?";
 }
 
-int RawFixedPipeGroupKey(const ModelInput& input, size_t i,
+int RawFixedPipeGroupKey(const net::Network& network, const net::Pipe& p,
                          GroupingScheme scheme) {
-  const net::Pipe& p = *input.pipes[i];
   switch (scheme) {
     case GroupingScheme::kMaterial:
       return static_cast<int>(p.material);
@@ -92,7 +91,7 @@ int RawFixedPipeGroupKey(const ModelInput& input, size_t i,
       return static_cast<int>(p.coating);
     case GroupingScheme::kSoilCorrosiveness: {
       if (!p.segments.empty()) {
-        auto segment = input.dataset->network.FindSegment(p.segments[0]);
+        auto segment = network.FindSegment(p.segments[0]);
         if (segment.ok()) {
           return static_cast<int>((*segment)->soil.corrosiveness);
         }
@@ -103,6 +102,11 @@ int RawFixedPipeGroupKey(const ModelInput& input, size_t i,
       return 0;
   }
   return 0;
+}
+
+int RawFixedPipeGroupKey(const ModelInput& input, size_t i,
+                         GroupingScheme scheme) {
+  return RawFixedPipeGroupKey(input.dataset->network, *input.pipes[i], scheme);
 }
 
 std::vector<int> AssignFixedPipeGroups(const ModelInput& input,
@@ -181,18 +185,22 @@ std::vector<double> AggregatePipeRisk(const ModelInput& input,
       ScoreOptions());
 }
 
+PipeCounts CountPipeYears(const data::RegionDataset& dataset,
+                          const data::TemporalSplit& split,
+                          const net::Pipe& p) {
+  PipeCounts counts;
+  for (net::Year y = split.train_first; y <= split.train_last; ++y) {
+    if (p.laid_year > y) continue;
+    counts.n += 1;
+    if (dataset.failures.CountForPipe(p.id, y, y) > 0) counts.k += 1;
+  }
+  return counts;
+}
+
 std::vector<PipeCounts> BuildPipeCounts(const ModelInput& input) {
   std::vector<PipeCounts> counts(input.num_pipes());
-  const auto& split = input.split;
   for (size_t i = 0; i < input.num_pipes(); ++i) {
-    const net::Pipe& p = *input.pipes[i];
-    for (net::Year y = split.train_first; y <= split.train_last; ++y) {
-      if (p.laid_year > y) continue;
-      counts[i].n += 1;
-      if (input.dataset->failures.CountForPipe(p.id, y, y) > 0) {
-        counts[i].k += 1;
-      }
-    }
+    counts[i] = CountPipeYears(*input.dataset, input.split, *input.pipes[i]);
   }
   return counts;
 }

@@ -32,11 +32,14 @@ std::string_view ToString(GroupingScheme scheme);
 std::vector<int> AssignFixedPipeGroups(const ModelInput& input,
                                        GroupingScheme scheme);
 
-/// The raw (un-densified) group key of pipe `i` under `scheme`. Unlike the
-/// dense labels above (densified in first-seen order, so only meaningful
-/// within one input), raw keys are stable across datasets — the streaming
-/// fit uses them as the global label space so every shard agrees on group
-/// identity.
+/// The raw (un-densified) group key of pipe `p` of `network` under
+/// `scheme`. Unlike the dense labels above (densified in first-seen order,
+/// so only meaningful within one input), raw keys are stable across
+/// datasets — the streaming fit uses them as the global label space so
+/// every shard agrees on group identity.
+int RawFixedPipeGroupKey(const net::Network& network, const net::Pipe& p,
+                         GroupingScheme scheme);
+/// The raw group key of pipe `i` of `input`.
 int RawFixedPipeGroupKey(const ModelInput& input, size_t i,
                          GroupingScheme scheme);
 
@@ -147,12 +150,16 @@ std::vector<double> FitSegmentMultipliers(const ModelInput& input,
                                           const HierarchyConfig& config);
 
 /// Per-pipe training counts for the pipe-level HBP: k = distinct training
-/// years with >= 1 failure, n = observed training years. Aligned with
-/// input.pipes.
+/// years with >= 1 failure, n = observed training years (the pipe was laid
+/// by then).
 struct PipeCounts {
   int k = 0;
   int n = 0;
 };
+PipeCounts CountPipeYears(const data::RegionDataset& dataset,
+                          const data::TemporalSplit& split,
+                          const net::Pipe& p);
+/// CountPipeYears for every pipe of `input`, aligned with input.pipes.
 std::vector<PipeCounts> BuildPipeCounts(const ModelInput& input);
 
 }  // namespace core

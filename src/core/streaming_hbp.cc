@@ -1,15 +1,13 @@
 #include "core/streaming_hbp.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
-#include <cmath>
 #include <cstdio>
 #include <map>
 #include <tuple>
 #include <utility>
 
-#include "common/strings.h"
+#include "common/trace.h"
 #include "core/beta_bernoulli.h"
 #include "core/mcmc.h"
 #include "data/split.h"
@@ -32,12 +30,6 @@ constexpr std::uint64_t kStreamingHbpStream = 0x53484250ULL;  // "SHBP"
 
 double Clamp01(double q) { return std::clamp(q, kRateFloor, kRateCeil); }
 
-net::FeatureConfig FeaturesFor(net::PipeCategory category) {
-  return category == net::PipeCategory::kWasteWater
-             ? net::FeatureConfig::WasteWater()
-             : net::FeatureConfig::DrinkingWater();
-}
-
 /// One merged sufficient-statistic class: weight pipes sharing (k, n)
 /// within one raw group.
 struct SuffClass {
@@ -51,13 +43,65 @@ struct SuffClass {
 /// shard processing interleaving.
 using SuffHistogram = std::map<std::tuple<int, int, int>, long long>;
 
-Result<ModelInput> BuildShardInput(const data::RegionDataset& dataset,
-                                   const StreamingHbpOptions& options) {
-  return ModelInput::Build(dataset, data::TemporalSplit::Paper(),
-                           options.category, FeaturesFor(options.category));
+/// One shard's (pipe id, score) rows, in network order.
+using ScoreRows = std::vector<std::pair<net::PipeId, double>>;
+
+/// Serial write in shard order: the scores artefact lists pipes exactly as
+/// a streaming reader walks them. Row-at-a-time fprintf, never a whole CSV
+/// document in memory. Writes `out_path + ".tmp"` and renames it into
+/// place; once the temporary file exists, every failure removes it.
+Status WriteScores(const std::vector<ScoreRows>& rows,
+                   const std::string& out_path) {
+  const std::string tmp = out_path + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "w");
+  if (f == nullptr) {
+    return Status::IoError("cannot open scores file for writing: " + tmp);
+  }
+  std::fputs("pipe_id,score\n", f);
+  for (const ScoreRows& shard_rows : rows) {
+    for (const auto& [id, score] : shard_rows) {
+      std::fprintf(f, "%lld,%.10g\n", static_cast<long long>(id), score);
+    }
+  }
+  const bool written = std::fflush(f) == 0 && std::ferror(f) == 0;
+  const bool closed = std::fclose(f) == 0;
+  if (!written || !closed) {
+    std::remove(tmp.c_str());
+    return Status::IoError("scores write failed: " + tmp);
+  }
+  if (std::rename(tmp.c_str(), out_path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return Status::IoError("cannot rename scores into place: " + out_path);
+  }
+  return Status::OK();
 }
 
 }  // namespace
+
+Status CheckShardPipes(const data::RegionDataset& dataset,
+                       net::PipeCategory category) {
+  for (const net::Pipe& p : dataset.network.pipes()) {
+    if (p.category == category && p.segments.empty()) {
+      return Status::InvalidArgument("pipe " + std::to_string(p.id) +
+                                     " has no segments");
+    }
+  }
+  return Status::OK();
+}
+
+Result<std::vector<ShardPipe>> ShardPipes(const data::RegionDataset& dataset,
+                                          const StreamingHbpOptions& options) {
+  PIPERISK_RETURN_IF_ERROR(CheckShardPipes(dataset, options.category));
+  const data::TemporalSplit split = data::TemporalSplit::Paper();
+  std::vector<ShardPipe> out;
+  for (const net::Pipe& p : dataset.network.pipes()) {
+    if (p.category != options.category) continue;
+    out.push_back(ShardPipe{
+        p.id, RawFixedPipeGroupKey(dataset.network, p, options.scheme),
+        CountPipeYears(dataset, split, p)});
+  }
+  return out;
+}
 
 Result<StreamingHbpFit> FitStreamingHbp(const data::ShardedDataset& shards,
                                         const StreamingHbpOptions& options) {
@@ -75,43 +119,42 @@ Result<StreamingHbpFit> FitStreamingHbp(const data::ShardedDataset& shards,
 
   // --- pass 1: stream shards into per-shard histograms ----------------------
   const size_t num_shards = shards.shards().size();
-  std::vector<SuffHistogram> partials(num_shards);
-  std::vector<std::uint64_t> shard_pipes(num_shards, 0);
-  std::atomic<int> shards_done{0};
-  heartbeat.ReportShards(0, static_cast<int>(num_shards));
-  PIPERISK_RETURN_IF_ERROR(shards.ForEachShard(
-      options.shard_window,
-      [&](size_t shard, const data::RegionDataset& dataset) -> Status {
-        PIPERISK_ASSIGN_OR_RETURN(ModelInput input,
-                                  BuildShardInput(dataset, options));
-        const std::vector<PipeCounts> counts = BuildPipeCounts(input);
-        SuffHistogram& local = partials[shard];
-        for (size_t i = 0; i < input.num_pipes(); ++i) {
-          const int raw = RawFixedPipeGroupKey(input, i, options.scheme);
-          local[{raw, counts[i].k, counts[i].n}] += 1;
-        }
-        shard_pipes[shard] = input.num_pipes();
-        heartbeat.ReportShards(
-            shards_done.fetch_add(1, std::memory_order_relaxed) + 1,
-            static_cast<int>(num_shards));
-        return Status::OK();
-      }));
-
-  // Merge in shard order. Weights are integers, so the merged histogram is
-  // exactly what a single-pass in-memory build would produce.
   SuffHistogram merged;
-  for (const SuffHistogram& partial : partials) {
-    for (const auto& [key, weight] : partial) merged[key] += weight;
+  StreamingHbpFit fit;
+  fit.c = h.c;
+  {
+    telemetry::ScopedSpan span("streaming_hbp.shards");
+    std::vector<SuffHistogram> partials(num_shards);
+    std::vector<std::uint64_t> shard_pipes(num_shards, 0);
+    std::atomic<int> shards_done{0};
+    heartbeat.ReportShards(0, static_cast<int>(num_shards));
+    PIPERISK_RETURN_IF_ERROR(shards.ForEachShard(
+        options.shard_window,
+        [&](size_t shard, const data::RegionDataset& dataset) -> Status {
+          PIPERISK_ASSIGN_OR_RETURN(const std::vector<ShardPipe> pipes,
+                                    ShardPipes(dataset, options));
+          SuffHistogram& local = partials[shard];
+          for (const ShardPipe& p : pipes) {
+            local[{p.raw_key, p.train.k, p.train.n}] += 1;
+          }
+          shard_pipes[shard] = pipes.size();
+          heartbeat.ReportShards(
+              shards_done.fetch_add(1, std::memory_order_relaxed) + 1,
+              static_cast<int>(num_shards));
+          return Status::OK();
+        }));
+
+    // Merge in shard order. Weights are integers, so the merged histogram
+    // is exactly what a single-pass in-memory build would produce.
+    for (const SuffHistogram& partial : partials) {
+      for (const auto& [key, weight] : partial) merged[key] += weight;
+    }
+    for (std::uint64_t p : shard_pipes) fit.total_pipes += p;
   }
-  partials.clear();
   if (merged.empty()) {
     return Status::InvalidArgument(
         "no pipes of the requested category in any shard");
   }
-
-  StreamingHbpFit fit;
-  fit.c = h.c;
-  for (std::uint64_t p : shard_pipes) fit.total_pipes += p;
 
   // Dense group space: sorted raw keys (canonical, shard-order-free).
   for (const auto& [key, weight] : merged) {
@@ -182,6 +225,7 @@ Result<StreamingHbpFit> FitStreamingHbp(const data::ShardedDataset& shards,
   long long collected = 0;
   const int total_sweeps = h.burn_in + h.samples;
   heartbeat.SetPhase("sweep");
+  telemetry::ScopedSpan sweep_span("streaming_hbp.sweep");
   for (int chain = 0; chain < h.num_chains; ++chain) {
     stats::Rng rng(h.seed,
                    kStreamingHbpStream + static_cast<std::uint64_t>(chain));
@@ -246,61 +290,43 @@ Status ScoreStreamingHbp(const data::ShardedDataset& shards,
   heartbeat.Start();
 
   const size_t num_shards = shards.shards().size();
-  std::vector<std::vector<std::pair<net::PipeId, double>>> rows(num_shards);
-  std::atomic<int> shards_done{0};
-  heartbeat.ReportShards(0, static_cast<int>(num_shards));
-  PIPERISK_RETURN_IF_ERROR(shards.ForEachShard(
-      options.shard_window,
-      [&](size_t shard, const data::RegionDataset& dataset) -> Status {
-        PIPERISK_ASSIGN_OR_RETURN(ModelInput input,
-                                  BuildShardInput(dataset, options));
-        const std::vector<PipeCounts> counts = BuildPipeCounts(input);
-        auto& out = rows[shard];
-        out.reserve(input.num_pipes());
-        for (size_t i = 0; i < input.num_pipes(); ++i) {
-          const int raw = RawFixedPipeGroupKey(input, i, options.scheme);
-          const auto it = std::lower_bound(fit.raw_keys.begin(),
-                                           fit.raw_keys.end(), raw);
-          // Groups unseen at fit time (possible when scoring a different
-          // dataset) fall back to the prior mean.
-          const double q_mean =
-              (it != fit.raw_keys.end() && *it == raw)
-                  ? fit.group_tilted_means[static_cast<size_t>(
-                        it - fit.raw_keys.begin())]
-                  : Clamp01(fit.q0);
-          const double score = PosteriorMeanRate(
-              BetaParams{q_mean, fit.c}, counts[i].k, counts[i].n);
-          out.emplace_back(input.pipes[i]->id, score);
-        }
-        heartbeat.ReportShards(
-            shards_done.fetch_add(1, std::memory_order_relaxed) + 1,
-            static_cast<int>(num_shards));
-        return Status::OK();
-      }));
+  std::vector<ScoreRows> rows(num_shards);
+  {
+    telemetry::ScopedSpan span("streaming_hbp.score_shards");
+    std::atomic<int> shards_done{0};
+    heartbeat.ReportShards(0, static_cast<int>(num_shards));
+    PIPERISK_RETURN_IF_ERROR(shards.ForEachShard(
+        options.shard_window,
+        [&](size_t shard, const data::RegionDataset& dataset) -> Status {
+          PIPERISK_ASSIGN_OR_RETURN(const std::vector<ShardPipe> pipes,
+                                    ShardPipes(dataset, options));
+          ScoreRows& out = rows[shard];
+          out.reserve(pipes.size());
+          for (const ShardPipe& p : pipes) {
+            const auto it = std::lower_bound(fit.raw_keys.begin(),
+                                             fit.raw_keys.end(), p.raw_key);
+            // Groups unseen at fit time (possible when scoring a different
+            // dataset) fall back to the prior mean.
+            const double q_mean =
+                (it != fit.raw_keys.end() && *it == p.raw_key)
+                    ? fit.group_tilted_means[static_cast<size_t>(
+                          it - fit.raw_keys.begin())]
+                    : Clamp01(fit.q0);
+            const double score = PosteriorMeanRate(
+                BetaParams{q_mean, fit.c}, p.train.k, p.train.n);
+            out.emplace_back(p.id, score);
+          }
+          heartbeat.ReportShards(
+              shards_done.fetch_add(1, std::memory_order_relaxed) + 1,
+              static_cast<int>(num_shards));
+          return Status::OK();
+        }));
+  }
   heartbeat.SetPhase("done");
   heartbeat.Stop();
 
-  // Serial write in shard order: the scores artefact lists pipes exactly as
-  // a streaming reader walks them. Row-at-a-time fprintf, never a whole
-  // CSV document in memory.
-  const std::string tmp = out_path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) {
-    return Status::IoError("cannot open scores file for writing: " + tmp);
-  }
-  std::fputs("pipe_id,score\n", f);
-  for (const auto& shard_rows : rows) {
-    for (const auto& [id, score] : shard_rows) {
-      std::fprintf(f, "%lld,%.10g\n", static_cast<long long>(id), score);
-    }
-  }
-  const bool ok = std::fflush(f) == 0;
-  std::fclose(f);
-  if (!ok) return Status::IoError("scores write failed: " + tmp);
-  if (std::rename(tmp.c_str(), out_path.c_str()) != 0) {
-    return Status::IoError("cannot rename scores into place: " + out_path);
-  }
-  return Status::OK();
+  telemetry::ScopedSpan span("streaming_hbp.write");
+  return WriteScores(rows, out_path);
 }
 
 }  // namespace core

@@ -8,7 +8,7 @@
 #include "common/result.h"
 #include "core/hbp.h"
 #include "data/sharded_dataset.h"
-#include "net/feature.h"
+#include "net/pipe.h"
 
 namespace piperisk {
 namespace core {
@@ -18,12 +18,12 @@ namespace core {
 /// The pipe-level HBP's collapsed likelihood depends on the data only
 /// through the per-group histogram of (k, n) sufficient statistics — k
 /// failing training years out of n observed ones — so the fit streams
-/// shards through a bounded window, reduces each to that histogram via
-/// `ModelInput::Build` + `BuildPipeCounts`, merges (integer weights: the
-/// merged histogram is exactly the in-memory one, independent of shard or
-/// thread order), and then runs the Metropolis-within-Gibbs group sampler
-/// over the tiny merged table. Peak RSS is bounded by the shard window, not
-/// the network.
+/// shards through a bounded window, reduces each to that histogram by one
+/// walk over its pipes (`ShardPipes`: raw group key + `CountPipeYears`, no
+/// feature rows), merges (integer weights: the merged histogram is exactly
+/// the in-memory one, independent of shard or thread order), and then runs
+/// the Metropolis-within-Gibbs group sampler over the tiny merged table.
+/// Peak RSS is bounded by the shard window, not the network.
 ///
 /// Two deliberate deviations from the in-memory `HbpModel`:
 ///   - covariate multipliers are not fitted (the pooled histogram cannot
@@ -57,6 +57,27 @@ struct StreamingHbpFit {
   std::uint64_t total_n = 0;
 };
 
+/// What the fit and score passes read of one pipe.
+struct ShardPipe {
+  net::PipeId id = net::kInvalidId;
+  int raw_key = 0;   ///< RawFixedPipeGroupKey under the options' scheme
+  PipeCounts train;  ///< CountPipeYears over the paper split
+};
+
+/// The one check `ModelInput::Build` makes that a loaded shard can fail:
+/// every pipe of `category` has at least one segment (feature encoding
+/// needs one). Returns InvalidArgument naming the first pipe, in network
+/// order, that has none. Network::Validate and LoadShard accept such a
+/// pipe, so every streaming pass runs this check on each shard.
+Status CheckShardPipes(const data::RegionDataset& dataset,
+                       net::PipeCategory category);
+
+/// The fit and score passes' walk over one shard: every pipe of
+/// `options.category`, in network order (the rows a ModelInput over the
+/// same dataset holds), after CheckShardPipes.
+Result<std::vector<ShardPipe>> ShardPipes(const data::RegionDataset& dataset,
+                                          const StreamingHbpOptions& options);
+
 /// Pass 1 + sampler. Streams every shard once.
 Result<StreamingHbpFit> FitStreamingHbp(const data::ShardedDataset& shards,
                                         const StreamingHbpOptions& options);
@@ -65,7 +86,9 @@ Result<StreamingHbpFit> FitStreamingHbp(const data::ShardedDataset& shards,
 /// mean yearly failure rate (linear in the group mean, so plugging the
 /// pooled mean in is exactly the mean over draws), and writes one scores
 /// CSV (`pipe_id,score`, %.10g — the `piperisk fit` artefact contract) in
-/// shard order, matching the order a streaming reader walks pipes in.
+/// shard order, matching the order a streaming reader walks pipes in. The
+/// CSV is written to `out_path + ".tmp"` and renamed into place; on any
+/// failure the temporary file is removed.
 Status ScoreStreamingHbp(const data::ShardedDataset& shards,
                          const StreamingHbpFit& fit,
                          const StreamingHbpOptions& options,

@@ -5,7 +5,8 @@
 #include <utility>
 
 #include "common/strings.h"
-#include "core/model.h"
+#include "common/trace.h"
+#include "core/streaming_hbp.h"
 #include "data/split.h"
 
 namespace piperisk {
@@ -75,13 +76,15 @@ Result<ScoresReader> ScoresReader::Open(const std::string& path) {
 }
 
 Result<bool> ScoresReader::Next(std::int64_t* id, double* score) {
-  if (!std::getline(*in_, line_)) {
-    if (in_->bad()) return Status::IoError("read error: " + path_);
-    return false;
-  }
-  ++row_;
-  const std::string_view line = StripCr(line_);
-  if (line.empty()) return Next(id, score);  // tolerate a trailing blank line
+  std::string_view line;
+  do {  // blank lines (e.g. a trailing one) are skipped
+    if (!std::getline(*in_, line_)) {
+      if (in_->bad()) return Status::IoError("read error: " + path_);
+      return false;
+    }
+    ++row_;
+    line = StripCr(line_);
+  } while (line.empty());
   // A scores file has at most a handful of columns; 16 is far above any
   // artefact this tool writes.
   std::string_view fields[16];
@@ -103,64 +106,42 @@ Result<bool> ScoresReader::Next(std::int64_t* id, double* score) {
 Result<StreamedScoredPipes> BuildStreamedScoredPipes(
     const data::ShardedDataset& shards, net::PipeCategory category,
     const std::string& scores_path, int window) {
-  const net::FeatureConfig features =
-      category == net::PipeCategory::kWasteWater
-          ? net::FeatureConfig::WasteWater()
-          : net::FeatureConfig::DrinkingWater();
-
   // Pass over the shards: per-shard slots keep the concatenation in shard
   // order no matter how the window interleaves.
-  struct ShardSlot {
-    std::vector<std::uint64_t> ids;
-    std::vector<int> test_failures;
-    std::vector<double> lengths_m;
-  };
+  const data::TemporalSplit split = data::TemporalSplit::Paper();
   const size_t num_shards = shards.shards().size();
-  std::vector<ShardSlot> slots(num_shards);
-  int test_year = 0;
-  PIPERISK_RETURN_IF_ERROR(shards.ForEachShard(
-      window,
-      [&](size_t shard, const data::RegionDataset& dataset) -> Status {
-        PIPERISK_ASSIGN_OR_RETURN(
-            core::ModelInput input,
-            core::ModelInput::Build(dataset, data::TemporalSplit::Paper(),
-                                    category, features));
-        ShardSlot& slot = slots[shard];
-        slot.ids.reserve(input.num_pipes());
-        slot.test_failures.reserve(input.num_pipes());
-        slot.lengths_m.reserve(input.num_pipes());
-        for (size_t i = 0; i < input.num_pipes(); ++i) {
-          slot.ids.push_back(
-              static_cast<std::uint64_t>(input.pipes[i]->id));
-          slot.test_failures.push_back(input.outcomes[i].test_failures);
-          slot.lengths_m.push_back(input.outcomes[i].length_m);
-        }
-        // Every shard uses the same split; shard 0's value wins (all equal).
-        if (shard == 0) test_year = input.split.test_year;
-        return Status::OK();
-      }));
-
+  std::vector<std::vector<data::PipeOutcome>> slots(num_shards);
   StreamedScoredPipes out;
-  out.test_year = test_year;
+  out.test_year = split.test_year;
   size_t total = 0;
-  for (const ShardSlot& slot : slots) total += slot.ids.size();
-  if (total == 0) {
-    return Status::InvalidArgument(
-        "no pipes of the requested category in any shard");
+  {
+    telemetry::ScopedSpan span("streaming_eval.shards");
+    PIPERISK_RETURN_IF_ERROR(shards.ForEachShard(
+        window,
+        [&](size_t shard, const data::RegionDataset& dataset) -> Status {
+          PIPERISK_RETURN_IF_ERROR(core::CheckShardPipes(dataset, category));
+          slots[shard] = data::BuildPipeOutcomes(dataset, split, category);
+          return Status::OK();
+        }));
+
+    for (const auto& slot : slots) total += slot.size();
+    if (total == 0) {
+      return Status::InvalidArgument(
+          "no pipes of the requested category in any shard");
+    }
+    out.ids.reserve(total);
+    out.test_failures.reserve(total);
+    out.lengths_m.reserve(total);
+    for (auto& slot : slots) {
+      for (const data::PipeOutcome& o : slot) {
+        out.ids.push_back(static_cast<std::uint64_t>(o.pipe_id));
+        out.test_failures.push_back(o.test_failures);
+        out.lengths_m.push_back(o.length_m);
+      }
+      slot = {};  // release as we go
+    }
+    slots.clear();
   }
-  out.ids.reserve(total);
-  out.test_failures.reserve(total);
-  out.lengths_m.reserve(total);
-  for (ShardSlot& slot : slots) {
-    out.ids.insert(out.ids.end(), slot.ids.begin(), slot.ids.end());
-    out.test_failures.insert(out.test_failures.end(),
-                             slot.test_failures.begin(),
-                             slot.test_failures.end());
-    out.lengths_m.insert(out.lengths_m.end(), slot.lengths_m.begin(),
-                         slot.lengths_m.end());
-    slot = ShardSlot();  // release as we go
-  }
-  slots.clear();
 
   // Sequential join against the scores file. Fast path: the file lists
   // pipes in shard order (what `fit --data-dir` writes), so each row
@@ -168,6 +149,7 @@ Result<StreamedScoredPipes> BuildStreamedScoredPipes(
   // land in a hash map and are resolved afterwards — correct for arbitrary
   // files, at the legacy map's RSS cost, proportional only to the
   // out-of-order tail.
+  telemetry::ScopedSpan span("streaming_eval.join");
   out.scores.assign(total, 0.0);
   PIPERISK_ASSIGN_OR_RETURN(ScoresReader reader,
                             ScoresReader::Open(scores_path));

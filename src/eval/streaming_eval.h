@@ -46,8 +46,8 @@ class ScoresReader {
 /// Everything streaming `evaluate` / `serve` need, in shard order (the
 /// global dataset order): parallel arrays over every pipe of the selected
 /// category. Peak RSS during the build is one shard window of networks plus
-/// these O(tens of bytes per pipe) arrays — the full network and feature
-/// matrices are never resident together.
+/// these O(tens of bytes per pipe) arrays — the full network is never
+/// resident, and no feature matrix is ever built.
 struct StreamedScoredPipes {
   std::vector<std::uint64_t> ids;
   std::vector<double> scores;
@@ -64,10 +64,10 @@ struct StreamedScoredPipes {
   std::uint64_t missing = 0;
 };
 
-/// Streams every shard once (ModelInput::Build per shard, `window` shards
-/// in flight), concatenates ids/outcomes in shard order, then joins the
-/// scores file sequentially against that order. Fails if the scores file
-/// matches no pipe at all.
+/// Streams every shard once (`window` shards in flight; per shard,
+/// core::CheckShardPipes then data::BuildPipeOutcomes), concatenates
+/// ids/outcomes in shard order, then joins the scores file sequentially
+/// against that order. Fails if the scores file matches no pipe at all.
 Result<StreamedScoredPipes> BuildStreamedScoredPipes(
     const data::ShardedDataset& shards, net::PipeCategory category,
     const std::string& scores_path, int window);

@@ -16,6 +16,9 @@
 #include <string_view>
 #include <vector>
 
+#include "common/trace.h"
+#include "core/hbp.h"
+#include "core/model.h"
 #include "core/streaming_hbp.h"
 #include "data/csv_io.h"
 #include "data/failure_simulator.h"
@@ -335,6 +338,44 @@ TEST(ShardedDatasetTest, CsvConvertedShardMatchesSource) {
 
 // --- streaming fit / score ---------------------------------------------------
 
+// Writes `dataset` as the only shard of a sharded dataset in `dir`.
+ShardedDataset WriteOneShard(const std::string& dir,
+                             const RegionDataset& dataset) {
+  PIPERISK_CHECK(WriteShard(dataset, dir + "/" + ShardFileName(0)).ok());
+  ShardInfo info;
+  info.file = ShardFileName(0);
+  info.region = dataset.config.name;
+  info.pipes = dataset.network.num_pipes();
+  info.segments = dataset.network.num_segments();
+  info.failures = dataset.failures.size();
+  PIPERISK_CHECK(WriteManifest(dir, {info}).ok());
+  auto shards = ShardedDataset::Open(dir);
+  PIPERISK_CHECK(shards.ok()) << shards.status().ToString();
+  return std::move(*shards);
+}
+
+// A copy of `source` whose pipes go through `edit` first; segments and
+// failures are kept unless `keep` rejects their pipe.
+template <typename Edit, typename Keep>
+RegionDataset RebuildDataset(const RegionDataset& source, Edit edit,
+                             Keep keep) {
+  RegionDataset out;
+  out.config = source.config;
+  out.network = net::Network(source.network.region());
+  for (net::Pipe p : source.network.pipes()) {
+    p.segments.clear();
+    edit(p);
+    PIPERISK_CHECK(out.network.AddPipe(std::move(p)).ok());
+  }
+  for (const net::PipeSegment& s : source.network.segments()) {
+    if (keep(s.pipe_id)) PIPERISK_CHECK(out.network.AddSegment(s).ok());
+  }
+  for (const net::FailureRecord& r : source.failures.records()) {
+    if (keep(r.pipe_id)) out.failures.Add(r);
+  }
+  return out;
+}
+
 TEST(StreamingHbpTest, FitIsWindowInvariantAndReproducible) {
   const std::string dir = TempShardDir("fit");
   ASSERT_TRUE(GenerateShardedDataset(SmallOptions(dir, 3)).ok());
@@ -495,28 +536,11 @@ TEST(StreamingHbpTest, EveryPassRejectsAPipeWithoutSegments) {
     }
   }
   ASSERT_NE(bare, net::kInvalidId);
-  RegionDataset dataset;
-  dataset.config = source->config;
-  dataset.network = net::Network(source->network.region());
-  for (net::Pipe p : source->network.pipes()) {
-    p.segments.clear();
-    ASSERT_TRUE(dataset.network.AddPipe(std::move(p)).ok());
-  }
-  for (const net::PipeSegment& s : source->network.segments()) {
-    if (s.pipe_id == bare) continue;
-    ASSERT_TRUE(dataset.network.AddSegment(s).ok());
-  }
-  for (const net::FailureRecord& r : source->failures.records()) {
-    if (r.pipe_id != bare) dataset.failures.Add(r);
-  }
-  ASSERT_TRUE(WriteShard(dataset, dir + "/" + ShardFileName(0)).ok());
-  ShardInfo info = source_shards->shards()[0];
-  info.segments = dataset.network.num_segments();
-  info.failures = dataset.failures.size();
-  ASSERT_TRUE(WriteManifest(dir, {info}).ok());
-  auto shards = ShardedDataset::Open(dir);
-  ASSERT_TRUE(shards.ok()) << shards.status().ToString();
-  ASSERT_TRUE(shards->LoadShardDataset(0).ok());
+  const RegionDataset dataset = RebuildDataset(
+      *source, [](net::Pipe&) {},
+      [&](net::PipeId pipe) { return pipe != bare; });
+  const ShardedDataset shards = WriteOneShard(dir, dataset);
+  ASSERT_TRUE(shards.LoadShardDataset(0).ok());
 
   const std::string expected =
       "pipe " + std::to_string(bare) + " has no segments";
@@ -527,7 +551,7 @@ TEST(StreamingHbpTest, EveryPassRejectsAPipeWithoutSegments) {
   };
   core::StreamingHbpOptions options;
   options.hierarchy = testutil::FastHierarchy();
-  expect_rejected(core::FitStreamingHbp(*shards, options).status(), "fit");
+  expect_rejected(core::FitStreamingHbp(shards, options).status(), "fit");
 
   core::StreamingHbpFit fit;
   fit.raw_keys = {0};
@@ -535,14 +559,217 @@ TEST(StreamingHbpTest, EveryPassRejectsAPipeWithoutSegments) {
   fit.group_tilted_means = {0.01};
   fit.q0 = 0.01;
   const std::string out = dir + "/scores.csv";
-  expect_rejected(core::ScoreStreamingHbp(*shards, fit, options, out),
+  expect_rejected(core::ScoreStreamingHbp(shards, fit, options, out),
                   "score");
 
   WriteBytes(out, "pipe_id,score\n" + std::to_string(bare) + ",0.5\n");
   expect_rejected(eval::BuildStreamedScoredPipes(
-                      *shards, net::PipeCategory::kCriticalMain, out, 1)
+                      shards, net::PipeCategory::kCriticalMain, out, 1)
                       .status(),
                   "join");
+}
+
+TEST(StreamingHbpTest, ShardPipesMatchModelInput) {
+  // The streaming passes read each pipe through ShardPipes (fit, score) and
+  // BuildStreamedScoredPipes (join) instead of ModelInput::Build. Pipe by
+  // pipe, for every category and grouping scheme, they must yield the
+  // id, group key, training (k, n), test failures and length that the
+  // ModelInput path does. Every third pipe is re-laid inside or after the
+  // training window so n varies and failures predating the pipe exist.
+  const std::string dir = TempShardDir("shard_pipes");
+  const RegionDataset dataset = RebuildDataset(
+      MakeTinyDataset(31),
+      [i = 0](net::Pipe& p) mutable {
+        if (i % 3 == 0) p.laid_year = 1996 + (i / 3) % 15;
+        ++i;
+      },
+      [](net::PipeId) { return true; });
+  const ShardedDataset shards = WriteOneShard(dir, dataset);
+  const data::TemporalSplit split = TemporalSplit::Paper();
+  const core::GroupingScheme kSchemes[] = {
+      core::GroupingScheme::kMaterial,
+      core::GroupingScheme::kDiameterBand,
+      core::GroupingScheme::kLaidDecade,
+      core::GroupingScheme::kCoating,
+      core::GroupingScheme::kSoilCorrosiveness,
+      core::GroupingScheme::kSingle};
+  for (int c = 0; c < net::kNumPipeCategories; ++c) {
+    const auto category = static_cast<net::PipeCategory>(c);
+    auto input = core::ModelInput::Build(dataset, split, category,
+                                         net::FeatureConfig::DrinkingWater());
+    ASSERT_TRUE(input.ok()) << input.status().ToString();
+    const std::vector<core::PipeCounts> counts = BuildPipeCounts(*input);
+    if (category == net::PipeCategory::kCriticalMain) {
+      // The fixture reaches every branch of the year count.
+      bool unlaid = false, partial = false, full = false;
+      for (const core::PipeCounts& k : counts) {
+        unlaid |= k.n == 0;
+        partial |= k.n > 0 && k.n < split.TrainYears();
+        full |= k.n == split.TrainYears();
+      }
+      EXPECT_TRUE(unlaid && partial && full);
+    }
+    for (core::GroupingScheme scheme : kSchemes) {
+      SCOPED_TRACE(std::string(net::ToString(category)) + " " +
+                   std::string(core::ToString(scheme)));
+      core::StreamingHbpOptions options;
+      options.category = category;
+      options.scheme = scheme;
+      auto pipes = core::ShardPipes(dataset, options);
+      ASSERT_TRUE(pipes.ok()) << pipes.status().ToString();
+      ASSERT_EQ(pipes->size(), input->num_pipes());
+      for (size_t i = 0; i < pipes->size(); ++i) {
+        const core::ShardPipe& p = (*pipes)[i];
+        EXPECT_EQ(p.id, input->pipes[i]->id);
+        EXPECT_EQ(p.raw_key, RawFixedPipeGroupKey(*input, i, scheme));
+        EXPECT_EQ(p.train.k, counts[i].k);
+        EXPECT_EQ(p.train.n, counts[i].n);
+      }
+    }
+    if (input->num_pipes() == 0) continue;
+
+    std::string csv = "pipe_id,score\n";
+    for (const net::Pipe* p : input->pipes) {
+      csv += std::to_string(p->id) + ",0.5\n";
+    }
+    const std::string scores = dir + "/scores.csv";
+    WriteBytes(scores, csv);
+    auto streamed =
+        eval::BuildStreamedScoredPipes(shards, category, scores, 1);
+    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+    ASSERT_EQ(streamed->ids.size(), input->num_pipes());
+    EXPECT_EQ(streamed->test_year, input->split.test_year);
+    for (size_t i = 0; i < input->num_pipes(); ++i) {
+      EXPECT_EQ(streamed->ids[i],
+                static_cast<std::uint64_t>(input->pipes[i]->id));
+      EXPECT_EQ(streamed->test_failures[i], input->outcomes[i].test_failures);
+      EXPECT_EQ(streamed->lengths_m[i], input->outcomes[i].length_m);
+    }
+  }
+}
+
+TEST(StreamingHbpTest, FailedScoresWriteLeavesNoTempFile) {
+  // Renaming onto a non-empty directory fails; the temporary CSV written
+  // next to it must not be left behind.
+  const std::string dir = TempShardDir("tmp_cleanup");
+  ASSERT_TRUE(GenerateShardedDataset(SmallOptions(dir, 1)).ok());
+  auto shards = ShardedDataset::Open(dir);
+  ASSERT_TRUE(shards.ok());
+  core::StreamingHbpOptions options;
+  options.hierarchy = testutil::FastHierarchy();
+  auto fit = core::FitStreamingHbp(*shards, options);
+  ASSERT_TRUE(fit.ok()) << fit.status().ToString();
+
+  const std::string out = dir + "/occupied";
+  std::filesystem::create_directories(out);
+  WriteBytes(out + "/keep", "x");
+  const Status st = core::ScoreStreamingHbp(*shards, *fit, options, out);
+  EXPECT_EQ(st.code(), StatusCode::kIoError) << st.ToString();
+  EXPECT_FALSE(std::filesystem::exists(out + ".tmp"));
+  EXPECT_TRUE(std::filesystem::exists(out + "/keep"));
+
+  const std::string missing_dir = dir + "/no/such/dir/scores.csv";
+  EXPECT_EQ(core::ScoreStreamingHbp(*shards, *fit, options, missing_dir)
+                .code(),
+            StatusCode::kIoError);
+  EXPECT_FALSE(std::filesystem::exists(missing_dir + ".tmp"));
+}
+
+TEST(StreamingHbpTest, PassSpansOncePerCallAroundTheShardWindows) {
+  // Each streaming pass records its two phase spans once per call (never
+  // per shard), in order, on the calling thread; every shard window's
+  // parallel_for on that thread nests inside the pass's shard phase.
+  const std::string dir = TempShardDir("spans");
+  ASSERT_TRUE(GenerateShardedDataset(SmallOptions(dir, 3)).ok());
+  auto shards = ShardedDataset::Open(dir);
+  ASSERT_TRUE(shards.ok());
+  core::StreamingHbpOptions options;
+  options.hierarchy = testutil::FastHierarchy();
+  options.shard_window = 2;
+  const std::string out = dir + "/scores.csv";
+
+  telemetry::StartTracing();
+  core::StreamingHbpFit fit;
+  {
+    telemetry::ScopedSpan span("test.fit");
+    auto fitted = core::FitStreamingHbp(*shards, options);
+    ASSERT_TRUE(fitted.ok()) << fitted.status().ToString();
+    fit = std::move(*fitted);
+  }
+  {
+    telemetry::ScopedSpan span("test.score");
+    ASSERT_TRUE(core::ScoreStreamingHbp(*shards, fit, options, out).ok());
+  }
+  {
+    telemetry::ScopedSpan span("test.join");
+    ASSERT_TRUE(eval::BuildStreamedScoredPipes(
+                    *shards, net::PipeCategory::kCriticalMain, out, 2)
+                    .ok());
+  }
+  telemetry::StopTracing();
+  const std::vector<testutil::SpanEvent> spans = testutil::TracedSpans();
+
+  auto only = [&](const char* name) {
+    std::vector<testutil::SpanEvent> found;
+    for (const testutil::SpanEvent& e : spans) {
+      if (e.name == name) found.push_back(e);
+    }
+    EXPECT_EQ(found.size(), 1u) << name;
+    return found.empty() ? testutil::SpanEvent{} : found.front();
+  };
+  struct Pass {
+    const char* call;
+    const char* shards;
+    const char* tail;
+  };
+  const Pass kPasses[] = {
+      {"test.fit", "streaming_hbp.shards", "streaming_hbp.sweep"},
+      {"test.score", "streaming_hbp.score_shards", "streaming_hbp.write"},
+      {"test.join", "streaming_eval.shards", "streaming_eval.join"},
+  };
+  for (const Pass& pass : kPasses) {
+    SCOPED_TRACE(pass.call);
+    const testutil::SpanEvent call = only(pass.call);
+    const testutil::SpanEvent shard_phase = only(pass.shards);
+    const testutil::SpanEvent tail = only(pass.tail);
+    EXPECT_EQ(shard_phase.tid, call.tid);
+    EXPECT_EQ(tail.tid, call.tid);
+    EXPECT_GE(shard_phase.ts, call.ts);
+    EXPECT_GE(tail.ts, shard_phase.end);
+    EXPECT_LE(tail.end, call.end);
+    int windows = 0;
+    for (const testutil::SpanEvent& e : spans) {
+      if (e.name != "threadpool.parallel_for" || e.tid != call.tid ||
+          e.ts < call.ts || e.end > call.end) {
+        continue;
+      }
+      ++windows;
+      EXPECT_GE(e.ts, shard_phase.ts);
+      EXPECT_LE(e.end, shard_phase.end);
+    }
+    EXPECT_EQ(windows, 2);  // 3 shards in windows of 2
+  }
+}
+
+TEST(StreamingEvalTest, ManyBlankLinesDoNotRecurse) {
+  // Blank lines are skipped in a loop: a run of them used to cost one
+  // stack frame each and overflowed the stack long before this many.
+  const std::string dir = TempShardDir("blank_lines");
+  const std::string path = dir + "/scores.csv";
+  WriteBytes(path, "pipe_id,score\n" + std::string(250000, '\n') +
+                       "7,0.25\n\n\r\n");
+  auto reader = eval::ScoresReader::Open(path);
+  ASSERT_TRUE(reader.ok());
+  std::int64_t id = 0;
+  double score = 0.0;
+  auto row = reader->Next(&id, &score);
+  ASSERT_TRUE(row.ok()) << row.status().ToString();
+  ASSERT_TRUE(*row);
+  EXPECT_EQ(id, 7);
+  EXPECT_EQ(score, 0.25);
+  row = reader->Next(&id, &score);
+  ASSERT_TRUE(row.ok());
+  EXPECT_FALSE(*row);
 }
 
 TEST(StreamingEvalTest, ScoresReaderParsesAndRejects) {
