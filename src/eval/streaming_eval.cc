@@ -106,16 +106,15 @@ Result<bool> ScoresReader::Next(std::int64_t* id, double* score) {
 Result<StreamedScoredPipes> BuildStreamedScoredPipes(
     const data::ShardedDataset& shards, net::PipeCategory category,
     const std::string& scores_path, int window) {
-  // Pass over the shards: per-shard slots keep the concatenation in shard
-  // order no matter how the window interleaves.
   const data::TemporalSplit split = data::TemporalSplit::Paper();
-  const size_t num_shards = shards.shards().size();
-  std::vector<std::vector<data::PipeOutcome>> slots(num_shards);
   StreamedScoredPipes out;
   out.test_year = split.test_year;
   size_t total = 0;
   {
     telemetry::ScopedSpan span("streaming_eval.shards");
+    // Per-shard slots keep the concatenation in shard order no matter how
+    // the window interleaves.
+    std::vector<std::vector<data::PipeOutcome>> slots(shards.shards().size());
     PIPERISK_RETURN_IF_ERROR(shards.ForEachShard(
         window,
         [&](size_t shard, const data::RegionDataset& dataset) -> Status {
@@ -140,7 +139,6 @@ Result<StreamedScoredPipes> BuildStreamedScoredPipes(
       }
       slot = {};  // release as we go
     }
-    slots.clear();
   }
 
   // Sequential join against the scores file. Fast path: the file lists
