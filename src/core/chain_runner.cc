@@ -1,9 +1,11 @@
 #include "core/chain_runner.h"
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 #include <utility>
 
@@ -102,6 +104,16 @@ Result<ChainRunReport> RunCheckpointedChains(const ChainRunnerOptions& options,
   if (ck.resume && ck.dir.empty()) {
     return Status::FailedPrecondition(
         "resume requested but no checkpoint directory is set");
+  }
+  // Mid-run snapshot writes are best-effort, so a missing directory would
+  // let the run finish having persisted nothing.
+  if (!ck.dir.empty()) {
+    std::error_code error;
+    std::filesystem::create_directories(ck.dir, error);
+    if (error) {
+      return Status::IoError("cannot create checkpoint directory " + ck.dir +
+                             ": " + error.message());
+    }
   }
 
   const int num_chains = options.num_chains;

@@ -124,7 +124,8 @@ struct ChainRunReport {
 ///
 ///   - Snapshots are taken every `checkpoint.every` sweeps and at chain
 ///     completion, persisted atomically under `checkpoint.dir` when set, and
-///     always kept in memory for retries.
+///     always kept in memory for retries. The directory (and its parents) is
+///     created before any chain starts; IoError when that fails.
 ///   - With `checkpoint.resume`, chains restart from their on-disk snapshot;
 ///     a fingerprint/shape mismatch aborts with a descriptive error, a
 ///     missing file simply starts that chain fresh, and a fully-completed

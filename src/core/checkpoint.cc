@@ -20,7 +20,7 @@ namespace {
 // checksum of the payload. All integers are fixed-width u64; doubles travel
 // as their IEEE-754 bit pattern (std::bit_cast), never through text.
 constexpr std::uint64_t kMagic = 0x70726b636b707431ULL;  // "prkckpt1"
-constexpr std::uint64_t kFormatVersion = 1;
+constexpr std::uint64_t kFormatVersion = 2;
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
@@ -173,7 +173,6 @@ std::string EncodePayload(const ChainCheckpoint& c) {
     w.PutI64(a.accepts);
   }
   w.PutDoubleVec(c.prob_sum);
-  w.PutDoubleVec(c.rate_sum);
   w.PutIntVec(c.k_trace);
   w.PutDoubleVec(c.alpha_trace);
   w.PutDoubleVec(c.qmax_trace);
@@ -211,7 +210,6 @@ Result<ChainCheckpoint> DecodePayload(std::string_view payload) {
     PIPERISK_ASSIGN_OR_RETURN(a.accepts, r.I64());
   }
   PIPERISK_ASSIGN_OR_RETURN(c.prob_sum, r.DoubleVec());
-  PIPERISK_ASSIGN_OR_RETURN(c.rate_sum, r.DoubleVec());
   PIPERISK_ASSIGN_OR_RETURN(c.k_trace, r.IntVec());
   PIPERISK_ASSIGN_OR_RETURN(c.alpha_trace, r.DoubleVec());
   PIPERISK_ASSIGN_OR_RETURN(c.qmax_trace, r.DoubleVec());

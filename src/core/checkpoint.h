@@ -87,12 +87,11 @@ struct ChainCheckpoint {
   std::vector<AdapterCheckpoint> adapters;   ///< per group slot
 
   // --- accumulated post-burn-in draws --------------------------------------
-  std::vector<double> prob_sum;
-  std::vector<double> rate_sum;                   ///< HBP group-rate sums
+  std::vector<double> prob_sum;                   ///< DPMHBP segment sums
   std::vector<int> k_trace;
   std::vector<double> alpha_trace;
   std::vector<double> qmax_trace;
-  std::vector<std::vector<double>> group_traces;  ///< HBP [group][draw]
+  std::vector<std::vector<double>> group_traces;  ///< HBP q [group][draw]
   long long collected = 0;
   std::uint64_t proposals = 0;
   std::uint64_t accepts = 0;

@@ -233,18 +233,215 @@ Status ValidateHierarchy(const HierarchyConfig& config) {
   return Status::OK();
 }
 
-Status HbpModel::Fit(const ModelInput& input) {
-  const size_t n = input.num_pipes();
-  if (n == 0) return Status::InvalidArgument("no pipes to fit");
-  PIPERISK_RETURN_IF_ERROR(ValidateHierarchy(config_));
-  // Within-chain partitioning: HBP groups are fixed, so the whole sweep is
-  // an independent per-group Metropolis scan, run as a pre-draw /
+Result<GroupRateChainTraces> SampleGroupRates(
+    const HierarchyConfig& config, std::uint64_t stream,
+    std::uint64_t fingerprint, const std::string& tag,
+    const std::string& heartbeat_label, const std::vector<double>& init_q,
+    const std::function<double(int g, double q)>& log_target) {
+  // Within-chain partitioning: the groups are fixed, so a sweep is an
+  // independent per-group Metropolis scan, run as a pre-draw /
   // parallel-eval / ordered-merge split; draws never depend on
   // sweep_threads. Scheduling is capped at real capacity: output is
   // scheduling-independent, so a 1-core machine evaluates inline.
   const int exec_threads =
-      std::min(ResolveSweepThreads(config_.sweep_threads),
+      std::min(ResolveSweepThreads(config.sweep_threads),
                ThreadPool::Shared().num_workers() + 1);
+  const int num_groups = static_cast<int>(init_q.size());
+  const int num_chains = config.num_chains;
+
+  // Everything one chain owns; each chain touches only its own slot, so
+  // the parallel runner needs no locking. `current_ll` caches each group's
+  // log target at its current rate; it is recomputed (bit-identically —
+  // same pure function at the same rates) rather than checkpointed.
+  struct Chain {
+    std::vector<double> q;
+    std::vector<StepSizeAdapter> adapters;
+    std::vector<double> current_ll;
+    std::vector<std::vector<double>> traces;  // [group][draw]
+    long long collected = 0;
+    std::uint64_t proposals = 0;
+    std::uint64_t accepts = 0;
+    telemetry::Counter* sweep_counter = nullptr;
+    // Per-sweep proposal scratch (allocation reuse only; never checkpointed).
+    std::vector<LogitProposal> props;
+    std::vector<double> prop_ll;
+  };
+  std::vector<Chain> chains(static_cast<size_t>(num_chains));
+  for (int c = 0; c < num_chains; ++c) {
+    chains[static_cast<size_t>(c)].sweep_counter = ChainSweepCounter(c);
+  }
+
+  auto refresh_current_ll = [&](Chain& s) {
+    s.current_ll.assign(static_cast<size_t>(num_groups), 0.0);
+    for (int g = 0; g < num_groups; ++g) {
+      s.current_ll[static_cast<size_t>(g)] =
+          log_target(g, s.q[static_cast<size_t>(g)]);
+    }
+  };
+
+  ChainProgram program;
+  program.init = [&](int chain) {
+    Chain& s = chains[static_cast<size_t>(chain)];
+    s.q = init_q;
+    s.adapters.assign(static_cast<size_t>(num_groups), StepSizeAdapter());
+    s.traces.assign(static_cast<size_t>(num_groups), {});
+    s.collected = 0;
+    s.proposals = 0;
+    s.accepts = 0;
+    refresh_current_ll(s);
+  };
+  program.sweep = [&](int chain, int iter, stats::Rng* rng) {
+    Chain& s = chains[static_cast<size_t>(chain)];
+    telemetry::ScopedSpan sweep_span("hbp.sweep");
+    (exec_threads > 1 ? SweepMetrics::Get().parallel_sweeps
+                      : SweepMetrics::Get().serial_sweeps)
+        ->Increment();
+    // Proposals pre-drawn in canonical group order (AcceptLogitProposal
+    // draws nothing, so this is the RNG use of an interleaved scan), pure
+    // log targets evaluated over the pool, decisions merged in group order.
+    s.props.clear();
+    for (int g = 0; g < num_groups; ++g) {
+      s.props.push_back(DrawLogitProposal(
+          s.q[static_cast<size_t>(g)],
+          s.adapters[static_cast<size_t>(g)].step(), rng));
+    }
+    s.prop_ll.assign(static_cast<size_t>(num_groups), 0.0);
+    const int blocks = std::min(num_groups, exec_threads);
+    ThreadPool::Shared().ParallelFor(blocks, exec_threads, [&](int b) {
+      auto [lo, hi] = BlockRange(static_cast<size_t>(num_groups), blocks, b);
+      for (size_t g = lo; g < hi; ++g) {
+        if (s.props[g].in_support) {
+          s.prop_ll[g] = log_target(static_cast<int>(g), s.props[g].proposal);
+        }
+      }
+    });
+    for (int g = 0; g < num_groups; ++g) {
+      const size_t gi = static_cast<size_t>(g);
+      const bool accepted = AcceptLogitProposal(
+          s.props[gi], s.q[gi], s.prop_ll[gi], &s.current_ll[gi]);
+      if (accepted) s.q[gi] = s.props[gi].proposal;
+      if (iter < config.burn_in) s.adapters[gi].Update(accepted);
+      ++s.proposals;
+      s.accepts += accepted ? 1 : 0;
+    }
+    if (iter >= config.burn_in) {
+      ++s.collected;
+      for (int g = 0; g < num_groups; ++g) {
+        s.traces[static_cast<size_t>(g)].push_back(s.q[static_cast<size_t>(g)]);
+      }
+    }
+    s.sweep_counter->Increment();
+  };
+  program.capture = [&](int chain, ChainCheckpoint* ckpt) {
+    const Chain& s = chains[static_cast<size_t>(chain)];
+    ckpt->group_q = s.q;
+    ckpt->adapters.reserve(s.adapters.size());
+    for (const StepSizeAdapter& a : s.adapters) {
+      const StepSizeAdapter::State st = a.SaveState();
+      ckpt->adapters.push_back(
+          AdapterCheckpoint{st.step, st.proposals, st.accepts});
+    }
+    ckpt->group_traces = s.traces;
+    ckpt->collected = s.collected;
+    ckpt->proposals = s.proposals;
+    ckpt->accepts = s.accepts;
+  };
+  program.restore = [&](int chain, const ChainCheckpoint& ckpt) -> Status {
+    // Every group's trace must hold `collected` draws: the means are
+    // derived from the traces by draw index.
+    const bool ragged = std::any_of(
+        ckpt.group_traces.begin(), ckpt.group_traces.end(),
+        [&](const std::vector<double>& trace) {
+          return trace.size() != static_cast<size_t>(ckpt.collected);
+        });
+    if (ckpt.group_q.size() != static_cast<size_t>(num_groups) ||
+        ckpt.adapters.size() != static_cast<size_t>(num_groups) ||
+        ckpt.group_traces.size() != static_cast<size_t>(num_groups) ||
+        ragged) {
+      return Status::FailedPrecondition(StrFormat(
+          "checkpoint for chain %d does not match the current grouping "
+          "(%zu groups)",
+          chain, static_cast<size_t>(num_groups)));
+    }
+    Chain& s = chains[static_cast<size_t>(chain)];
+    s.q = ckpt.group_q;
+    s.adapters.assign(static_cast<size_t>(num_groups), StepSizeAdapter());
+    for (size_t g = 0; g < ckpt.adapters.size(); ++g) {
+      s.adapters[g].RestoreState(StepSizeAdapter::State{
+          ckpt.adapters[g].step, ckpt.adapters[g].proposals,
+          ckpt.adapters[g].accepts});
+    }
+    s.traces = ckpt.group_traces;
+    s.collected = ckpt.collected;
+    s.proposals = ckpt.proposals;
+    s.accepts = ckpt.accepts;
+    refresh_current_ll(s);
+    return Status::OK();
+  };
+  // Heartbeat feeds: the max group rate of the latest retained draw (the
+  // grouping is fixed, so the max is stable and comparable across chains).
+  program.monitor = [&](int chain, int iter, double* value) {
+    if (iter < config.burn_in) return false;
+    const Chain& s = chains[static_cast<size_t>(chain)];
+    *value = *std::max_element(s.q.begin(), s.q.end());
+    return true;
+  };
+  program.acceptance = [&](int chain, std::int64_t* proposals,
+                           std::int64_t* accepted) {
+    const Chain& s = chains[static_cast<size_t>(chain)];
+    *proposals = static_cast<std::int64_t>(s.proposals);
+    *accepted = static_cast<std::int64_t>(s.accepts);
+  };
+
+  ChainRunnerOptions run_options;
+  run_options.num_chains = num_chains;
+  run_options.num_threads = config.num_threads;
+  run_options.seed = config.seed;
+  run_options.stream = stream;
+  run_options.total_sweeps = config.burn_in + config.samples;
+  run_options.fingerprint = fingerprint;
+  run_options.checkpoint = config.checkpoint;
+  if (run_options.checkpoint.tag.empty()) run_options.checkpoint.tag = tag;
+  run_options.heartbeat = config.heartbeat;
+  if (run_options.heartbeat.label.empty()) {
+    run_options.heartbeat.label = heartbeat_label;
+  }
+  PIPERISK_ASSIGN_OR_RETURN(const ChainRunReport report,
+                            RunCheckpointedChains(run_options, program));
+  std::vector<char> chain_failed(static_cast<size_t>(num_chains), 0);
+  for (int c : report.failed_chains) chain_failed[static_cast<size_t>(c)] = 1;
+
+  GroupRateChainTraces traces;
+  long long collected = 0;
+  std::uint64_t proposals = 0;
+  std::uint64_t accepts = 0;
+  for (int c = 0; c < num_chains; ++c) {
+    if (chain_failed[static_cast<size_t>(c)]) continue;
+    Chain& s = chains[static_cast<size_t>(c)];
+    collected += s.collected;
+    proposals += s.proposals;
+    accepts += s.accepts;
+    traces.push_back(std::move(s.traces));
+  }
+  if (collected == 0) {
+    return Status::Internal("no post-burn-in draws were collected");
+  }
+  // Flush the chain-confined telemetry tallies now that the run is done.
+  auto& registry = telemetry::Registry::Global();
+  static telemetry::Counter* const draws_collected =
+      registry.GetCounter("mcmc.draws_collected");
+  draws_collected->Add(collected);
+  registry.GetGauge("mcmc.acceptance_rate")
+      ->Set(proposals > 0
+                ? static_cast<double>(accepts) / static_cast<double>(proposals)
+                : 0.0);
+  return traces;
+}
+
+Status HbpModel::Fit(const ModelInput& input) {
+  const size_t n = input.num_pipes();
+  if (n == 0) return Status::InvalidArgument("no pipes to fit");
+  PIPERISK_RETURN_IF_ERROR(ValidateHierarchy(config_));
   labels_ = AssignFixedPipeGroups(input, scheme_);
   const int num_groups = 1 + *std::max_element(labels_.begin(), labels_.end());
   std::vector<PipeCounts> counts = BuildPipeCounts(input);
@@ -327,160 +524,6 @@ Status HbpModel::Fit(const ModelInput& input) {
     return ll;
   };
 
-  // Per-chain accumulators; each chain owns exactly one slot so the parallel
-  // runner needs no locking.
-  struct ChainDraws {
-    std::vector<double> prob_sum;
-    std::vector<double> rate_sum;
-    std::vector<std::vector<double>> traces;  // [group][draw]
-    int collected = 0;
-    /// Chain-confined telemetry tallies (flushed after pooling).
-    std::uint64_t proposals = 0;
-    std::uint64_t accepts = 0;
-  };
-  const int num_chains = config_.num_chains;
-  std::vector<ChainDraws> draws(static_cast<size_t>(num_chains));
-
-  // Mutable sampler state of one chain, separated from the accumulated
-  // draws so the checkpoint runner can re-initialise or restore a chain
-  // wholesale. `current_ll` caches each group's log target at its current
-  // rate; it is recomputed (bit-identically — same deterministic function at
-  // the same rates) rather than checkpointed.
-  struct ChainState {
-    std::vector<double> q;
-    std::vector<StepSizeAdapter> adapters;
-    std::vector<double> current_ll;
-    telemetry::Counter* sweep_counter = nullptr;
-    // Per-sweep proposal scratch (allocation reuse only; never checkpointed).
-    std::vector<LogitProposal> props;
-    std::vector<double> prop_ll;
-  };
-  std::vector<ChainState> states(static_cast<size_t>(num_chains));
-  for (int c = 0; c < num_chains; ++c) {
-    states[static_cast<size_t>(c)].sweep_counter = ChainSweepCounter(c);
-  }
-
-  auto refresh_current_ll = [&](ChainState& s) {
-    s.current_ll.assign(static_cast<size_t>(num_groups), 0.0);
-    for (int g = 0; g < num_groups; ++g) {
-      s.current_ll[static_cast<size_t>(g)] = group_loglik(g, s.q[g]);
-    }
-  };
-
-  auto init_chain = [&](int chain) {
-    ChainState& s = states[static_cast<size_t>(chain)];
-    ChainDraws& out = draws[static_cast<size_t>(chain)];
-    out = ChainDraws();
-    out.prob_sum.assign(n, 0.0);
-    out.rate_sum.assign(static_cast<size_t>(num_groups), 0.0);
-    out.traces.assign(static_cast<size_t>(num_groups), {});
-    s.q = init_q;
-    s.adapters.assign(static_cast<size_t>(num_groups), StepSizeAdapter());
-    refresh_current_ll(s);
-  };
-
-  auto sweep_chain = [&](int chain, int iter, stats::Rng* rng) {
-    ChainState& s = states[static_cast<size_t>(chain)];
-    ChainDraws& out = draws[static_cast<size_t>(chain)];
-    telemetry::ScopedSpan sweep_span("hbp.sweep");
-    (exec_threads > 1 ? SweepMetrics::Get().parallel_sweeps
-                      : SweepMetrics::Get().serial_sweeps)
-        ->Increment();
-    // Proposals pre-drawn in canonical group order (the fused step's exact
-    // RNG consumption), pure log targets evaluated over the pool, decisions
-    // merged back in group order.
-    s.props.clear();
-    for (int g = 0; g < num_groups; ++g) {
-      s.props.push_back(DrawLogitProposal(
-          s.q[static_cast<size_t>(g)],
-          s.adapters[static_cast<size_t>(g)].step(), rng));
-    }
-    s.prop_ll.assign(static_cast<size_t>(num_groups), 0.0);
-    const int blocks = std::min(num_groups, exec_threads);
-    ThreadPool::Shared().ParallelFor(blocks, exec_threads, [&](int b) {
-      auto [lo, hi] = BlockRange(static_cast<size_t>(num_groups), blocks, b);
-      for (size_t g = lo; g < hi; ++g) {
-        if (s.props[g].in_support) {
-          s.prop_ll[g] =
-              group_loglik(static_cast<int>(g), s.props[g].proposal);
-        }
-      }
-    });
-    for (int g = 0; g < num_groups; ++g) {
-      const size_t gi = static_cast<size_t>(g);
-      const bool accepted = AcceptLogitProposal(
-          s.props[gi], s.q[gi], s.prop_ll[gi], &s.current_ll[gi]);
-      if (accepted) s.q[gi] = s.props[gi].proposal;
-      if (iter < config_.burn_in) s.adapters[gi].Update(accepted);
-      ++out.proposals;
-      out.accepts += accepted ? 1 : 0;
-    }
-    if (iter >= config_.burn_in) {
-      ++out.collected;
-      for (int g = 0; g < num_groups; ++g) {
-        out.rate_sum[static_cast<size_t>(g)] += s.q[g];
-        out.traces[static_cast<size_t>(g)].push_back(s.q[g]);
-      }
-      for (size_t i = 0; i < n; ++i) {
-        double mean =
-            TiltedMean(s.q[static_cast<size_t>(labels_[i])], multipliers[i]);
-        BetaParams prior{mean, config_.c};
-        out.prob_sum[i] += PosteriorMeanRate(prior, counts[i].k,
-                                             counts[i].n);
-      }
-    }
-    s.sweep_counter->Increment();
-  };
-
-  auto capture_chain = [&](int chain, ChainCheckpoint* ckpt) {
-    const ChainState& s = states[static_cast<size_t>(chain)];
-    const ChainDraws& out = draws[static_cast<size_t>(chain)];
-    ckpt->group_q = s.q;
-    ckpt->adapters.reserve(s.adapters.size());
-    for (const StepSizeAdapter& a : s.adapters) {
-      const StepSizeAdapter::State st = a.SaveState();
-      ckpt->adapters.push_back(
-          AdapterCheckpoint{st.step, st.proposals, st.accepts});
-    }
-    ckpt->prob_sum = out.prob_sum;
-    ckpt->rate_sum = out.rate_sum;
-    ckpt->group_traces = out.traces;
-    ckpt->collected = out.collected;
-    ckpt->proposals = out.proposals;
-    ckpt->accepts = out.accepts;
-  };
-
-  auto restore_chain = [&](int chain, const ChainCheckpoint& ckpt) -> Status {
-    if (ckpt.group_q.size() != static_cast<size_t>(num_groups) ||
-        ckpt.adapters.size() != static_cast<size_t>(num_groups) ||
-        ckpt.rate_sum.size() != static_cast<size_t>(num_groups) ||
-        ckpt.group_traces.size() != static_cast<size_t>(num_groups) ||
-        ckpt.prob_sum.size() != n) {
-      return Status::FailedPrecondition(StrFormat(
-          "checkpoint for chain %d does not match the current grouping "
-          "(%zu groups over %zu pipes)",
-          chain, static_cast<size_t>(num_groups), n));
-    }
-    ChainState& s = states[static_cast<size_t>(chain)];
-    ChainDraws& out = draws[static_cast<size_t>(chain)];
-    out = ChainDraws();
-    out.prob_sum = ckpt.prob_sum;
-    out.rate_sum = ckpt.rate_sum;
-    out.traces = ckpt.group_traces;
-    out.collected = static_cast<int>(ckpt.collected);
-    out.proposals = ckpt.proposals;
-    out.accepts = ckpt.accepts;
-    s.q = ckpt.group_q;
-    s.adapters.assign(static_cast<size_t>(num_groups), StepSizeAdapter());
-    for (size_t g = 0; g < ckpt.adapters.size(); ++g) {
-      s.adapters[g].RestoreState(StepSizeAdapter::State{
-          ckpt.adapters[g].step, ckpt.adapters[g].proposals,
-          ckpt.adapters[g].accepts});
-    }
-    refresh_current_ll(s);
-    return Status::OK();
-  };
-
   Fingerprint fp;
   fp.Add("hbp")
       .Add(ToString(scheme_))
@@ -499,107 +542,38 @@ Status HbpModel::Fit(const ModelInput& input) {
       .Add(config_.max_multiplier)
       .Add(total_k)
       .Add(total_n);
+  const std::string tag = "hbp_" + std::string(ToString(scheme_));
+  PIPERISK_ASSIGN_OR_RETURN(
+      chain_traces_, SampleGroupRates(config_, kHbpStream, fp.digest(), tag,
+                                      "fit " + tag, init_q, group_loglik));
 
-  ChainRunnerOptions run_options;
-  run_options.num_chains = num_chains;
-  run_options.num_threads = config_.num_threads;
-  run_options.seed = config_.seed;
-  run_options.stream = kHbpStream;
-  run_options.total_sweeps = config_.burn_in + config_.samples;
-  run_options.fingerprint = fp.digest();
-  run_options.checkpoint = config_.checkpoint;
-  if (run_options.checkpoint.tag.empty()) {
-    run_options.checkpoint.tag = "hbp_" + std::string(ToString(scheme_));
-  }
-  run_options.heartbeat = config_.heartbeat;
-  if (run_options.heartbeat.label.empty()) {
-    run_options.heartbeat.label =
-        "fit hbp_" + std::string(ToString(scheme_));
-  }
-
-  ChainProgram program;
-  program.init = init_chain;
-  program.sweep = sweep_chain;
-  program.capture = capture_chain;
-  program.restore = restore_chain;
-  // Heartbeat feeds: the max group rate of the latest retained draw (the
-  // grouping is fixed, so the max is stable and comparable across chains).
-  program.monitor = [&](int chain, int iter, double* value) {
-    if (iter < config_.burn_in) return false;
-    const ChainDraws& d = draws[static_cast<size_t>(chain)];
-    double max_rate = 0.0;
-    bool have = false;
-    for (const std::vector<double>& trace : d.traces) {
-      if (trace.empty()) return false;
-      max_rate = have ? std::max(max_rate, trace.back()) : trace.back();
-      have = true;
-    }
-    if (!have) return false;
-    *value = max_rate;
-    return true;
-  };
-  program.acceptance = [&](int chain, std::int64_t* proposals,
-                           std::int64_t* accepted) {
-    const ChainDraws& d = draws[static_cast<size_t>(chain)];
-    *proposals = static_cast<std::int64_t>(d.proposals);
-    *accepted = static_cast<std::int64_t>(d.accepts);
-  };
-
-  PIPERISK_ASSIGN_OR_RETURN(const ChainRunReport report,
-                            RunCheckpointedChains(run_options, program));
-  std::vector<char> chain_failed(static_cast<size_t>(num_chains), 0);
-  for (int c : report.failed_chains) {
-    chain_failed[static_cast<size_t>(c)] = 1;
-  }
-
-  // Pool the surviving chains in deterministic chain order: posterior means
-  // over every chain's draws, concatenated per-group traces, and the
-  // per-chain traces for R̂.
+  // Posterior means over every surviving chain's draws: per chain, draws in
+  // order from 0.0, then chains added in chain order.
   pipe_probs_.assign(n, 0.0);
   group_rate_means_.assign(static_cast<size_t>(num_groups), 0.0);
   traces_.assign(static_cast<size_t>(num_groups), {});
-  chain_traces_.clear();
   long long collected = 0;
-  for (int c = 0; c < num_chains; ++c) {
-    if (chain_failed[static_cast<size_t>(c)]) continue;
-    const ChainDraws& d = draws[static_cast<size_t>(c)];
-    collected += d.collected;
-    for (size_t i = 0; i < n; ++i) pipe_probs_[i] += d.prob_sum[i];
-    for (int g = 0; g < num_groups; ++g) {
-      group_rate_means_[static_cast<size_t>(g)] +=
-          d.rate_sum[static_cast<size_t>(g)];
-      traces_[static_cast<size_t>(g)].insert(
-          traces_[static_cast<size_t>(g)].end(),
-          d.traces[static_cast<size_t>(g)].begin(),
-          d.traces[static_cast<size_t>(g)].end());
+  for (const std::vector<std::vector<double>>& chain : chain_traces_) {
+    const size_t draws = chain.front().size();
+    collected += static_cast<long long>(draws);
+    for (size_t g = 0; g < chain.size(); ++g) {
+      double rate_sum = 0.0;
+      for (double q : chain[g]) rate_sum += q;
+      group_rate_means_[g] += rate_sum;
+      traces_[g].insert(traces_[g].end(), chain[g].begin(), chain[g].end());
     }
-    chain_traces_.push_back(d.traces);
-  }
-  if (collected == 0) {
-    return Status::Internal("no post-burn-in draws were collected");
+    for (size_t i = 0; i < n; ++i) {
+      const std::vector<double>& q = chain[static_cast<size_t>(labels_[i])];
+      double prob_sum = 0.0;
+      for (size_t d = 0; d < draws; ++d) {
+        const BetaParams prior{TiltedMean(q[d], multipliers[i]), config_.c};
+        prob_sum += PosteriorMeanRate(prior, counts[i].k, counts[i].n);
+      }
+      pipe_probs_[i] += prob_sum;
+    }
   }
   for (double& p : pipe_probs_) p /= static_cast<double>(collected);
   for (double& g : group_rate_means_) g /= static_cast<double>(collected);
-
-  // Flush the chain-confined telemetry tallies now that pooling is done.
-  {
-    std::uint64_t proposals = 0;
-    std::uint64_t accepts = 0;
-    for (int c = 0; c < num_chains; ++c) {
-      if (chain_failed[static_cast<size_t>(c)]) continue;
-      const ChainDraws& d = draws[static_cast<size_t>(c)];
-      proposals += d.proposals;
-      accepts += d.accepts;
-    }
-    auto& registry = telemetry::Registry::Global();
-    static telemetry::Counter* const draws_collected =
-        registry.GetCounter("mcmc.draws_collected");
-    draws_collected->Add(collected);
-    registry.GetGauge("mcmc.acceptance_rate")
-        ->Set(proposals > 0
-                  ? static_cast<double>(accepts) / static_cast<double>(proposals)
-                  : 0.0);
-  }
   fitted_ = true;
   return Status::OK();
 }

@@ -1,6 +1,8 @@
 #ifndef PIPERISK_CORE_HBP_H_
 #define PIPERISK_CORE_HBP_H_
 
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -87,6 +89,22 @@ struct HierarchyConfig {
 /// (the collapsed likelihood and the Beta prior are improper otherwise).
 Status ValidateHierarchy(const HierarchyConfig& config);
 
+/// Group-rate draws of a sampler run: [chain][group][draw], surviving
+/// chains only, in chain order.
+using GroupRateChainTraces = std::vector<std::vector<std::vector<double>>>;
+
+/// The group-rate sampler of both HBP fits (HbpModel, FitStreamingHbp):
+/// RunCheckpointedChains on chain-0 stream `stream`, each sweep a logit
+/// random-walk Metropolis step per group with the pure `log_target(g, q)`
+/// evaluated over `config.sweep_threads`. `tag` and `heartbeat_label` apply
+/// unless the config sets its own. Flushes mcmc.draws_collected and
+/// mcmc.acceptance_rate.
+Result<GroupRateChainTraces> SampleGroupRates(
+    const HierarchyConfig& config, std::uint64_t stream,
+    std::uint64_t fingerprint, const std::string& tag,
+    const std::string& heartbeat_label, const std::vector<double>& init_q,
+    const std::function<double(int g, double q)>& log_target);
+
 /// The hierarchical beta process baseline of Li et al. (2014) /
 /// Sect. 18.3.1.3, exactly as the chapter positions it against the DPMHBP:
 /// *pipe-level* failure modelling with a fixed expert grouping (Eq. 18.5):
@@ -120,9 +138,8 @@ class HbpModel : public FailureModel {
   const std::vector<std::vector<double>>& group_rate_traces() const {
     return traces_;
   }
-  /// Per-chain q_k traces ([chain][group][draw]) for cross-chain R̂.
-  const std::vector<std::vector<std::vector<double>>>&
-  group_rate_chain_traces() const {
+  /// Per-chain q_k traces for cross-chain R̂.
+  const GroupRateChainTraces& group_rate_chain_traces() const {
     return chain_traces_;
   }
 
@@ -134,7 +151,7 @@ class HbpModel : public FailureModel {
   std::vector<double> pipe_probs_;
   std::vector<double> group_rate_means_;
   std::vector<std::vector<double>> traces_;
-  std::vector<std::vector<std::vector<double>>> chain_traces_;
+  GroupRateChainTraces chain_traces_;
 };
 
 /// Scores pipes from per-segment failure probabilities:

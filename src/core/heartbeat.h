@@ -40,8 +40,8 @@ struct HeartbeatConfig {
 /// the only reader. See DESIGN.md "Observability" for the file schema.
 class HeartbeatMonitor {
  public:
-  /// `total_sweeps` and `num_chains` size the progress model; streaming fits
-  /// with serial chains pass their values the same way.
+  /// `total_sweeps` and `num_chains` size the progress model; a streaming
+  /// shard pass, which runs no chains, passes 1 and 0.
   HeartbeatMonitor(HeartbeatConfig config, int num_chains, int total_sweeps);
   ~HeartbeatMonitor();
 

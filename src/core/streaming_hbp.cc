@@ -9,10 +9,8 @@
 
 #include "common/trace.h"
 #include "core/beta_bernoulli.h"
-#include "core/mcmc.h"
 #include "data/split.h"
 #include "stats/distributions.h"
-#include "stats/rng.h"
 
 namespace piperisk {
 namespace core {
@@ -23,9 +21,9 @@ namespace {
 constexpr double kRateFloor = 1e-7;
 constexpr double kRateCeil = 1.0 - 1e-7;
 
-// PCG stream of the streaming sampler's chain c (stream base + c). A
-// dedicated base keeps these chains independent of HbpModel's kHbpStream
-// draws without any coordination.
+// Chain-0 PCG stream of the streaming fit's group-rate sampler. A dedicated
+// constant keeps its draws independent of HbpModel's kHbpStream draws; it is
+// the only sampler setting in which the two HBP fits differ.
 constexpr std::uint64_t kStreamingHbpStream = 0x53484250ULL;  // "SHBP"
 
 double Clamp01(double q) { return std::clamp(q, kRateFloor, kRateCeil); }
@@ -108,15 +106,6 @@ Result<StreamingHbpFit> FitStreamingHbp(const data::ShardedDataset& shards,
   const HierarchyConfig& h = options.hierarchy;
   PIPERISK_RETURN_IF_ERROR(ValidateHierarchy(h));
 
-  // Live progress (observational only; the writer thread never touches the
-  // chain RNG streams, so heartbeat-enabled fits stay bit-reproducible).
-  HeartbeatConfig hb_config = h.heartbeat;
-  if (hb_config.label.empty()) hb_config.label = "fit streaming-hbp";
-  HeartbeatMonitor heartbeat(hb_config, h.num_chains,
-                             h.burn_in + h.samples);
-  heartbeat.SetPhase("stream-shards");
-  heartbeat.Start();
-
   // --- pass 1: stream shards into per-shard histograms ----------------------
   const size_t num_shards = shards.shards().size();
   SuffHistogram merged;
@@ -124,6 +113,14 @@ Result<StreamingHbpFit> FitStreamingHbp(const data::ShardedDataset& shards,
   fit.c = h.c;
   {
     telemetry::ScopedSpan span("streaming_hbp.shards");
+    // Shard progress only; the sampler below reports its chains through
+    // the chain runner's heartbeat.
+    HeartbeatConfig hb_config = h.heartbeat;
+    if (hb_config.label.empty()) hb_config.label = "fit streaming-hbp";
+    HeartbeatMonitor heartbeat(hb_config, /*num_chains=*/1,
+                               /*total_sweeps=*/0);
+    heartbeat.SetPhase("stream-shards");
+    heartbeat.Start();
     std::vector<SuffHistogram> partials(num_shards);
     std::vector<std::uint64_t> shard_pipes(num_shards, 0);
     std::atomic<int> shards_done{0};
@@ -216,65 +213,46 @@ Result<StreamingHbpFit> FitStreamingHbp(const data::ShardedDataset& shards,
     return ll;
   };
 
-  // --- sampler: num_chains independent Metropolis-within-Gibbs chains ------
-  // over the merged table. The table is tiny (groups x distinct (k, n)
-  // pairs), so chains run serially; determinism needs only the fixed
-  // per-chain streams.
-  std::vector<double> rate_sum(static_cast<size_t>(num_groups), 0.0);
-  std::vector<double> tilted_sum(static_cast<size_t>(num_groups), 0.0);
-  long long collected = 0;
-  const int total_sweeps = h.burn_in + h.samples;
-  heartbeat.SetPhase("sweep");
-  telemetry::ScopedSpan sweep_span("streaming_hbp.sweep");
-  for (int chain = 0; chain < h.num_chains; ++chain) {
-    stats::Rng rng(h.seed,
-                   kStreamingHbpStream + static_cast<std::uint64_t>(chain));
-    std::vector<double> q = init_q;
-    std::vector<double> current_ll(static_cast<size_t>(num_groups));
-    std::vector<StepSizeAdapter> adapters(static_cast<size_t>(num_groups));
-    std::int64_t proposals = 0, accepts = 0;
-    for (int g = 0; g < num_groups; ++g) {
-      current_ll[static_cast<size_t>(g)] = group_loglik(g, q[static_cast<size_t>(g)]);
-    }
-    for (int iter = 0; iter < total_sweeps; ++iter) {
-      for (int g = 0; g < num_groups; ++g) {
-        const size_t gi = static_cast<size_t>(g);
-        const LogitProposal prop =
-            DrawLogitProposal(q[gi], adapters[gi].step(), &rng);
-        const bool accepted = AcceptLogitProposal(
-            prop, q[gi], prop.in_support ? group_loglik(g, prop.proposal) : 0.0,
-            &current_ll[gi]);
-        if (accepted) q[gi] = prop.proposal;
-        if (iter < h.burn_in) adapters[gi].Update(accepted);
-        ++proposals;
-        accepts += accepted ? 1 : 0;
-      }
-      if (iter >= h.burn_in) {
-        ++collected;
-        double q_max = 0.0;
-        for (int g = 0; g < num_groups; ++g) {
-          const size_t gi = static_cast<size_t>(g);
-          rate_sum[gi] += q[gi];
-          tilted_sum[gi] += Clamp01(q[gi]);
-          q_max = std::max(q_max, q[gi]);
-        }
-        heartbeat.ReportDraw(chain, q_max);
-      }
-      heartbeat.ReportSweep(chain, iter + 1);
-      heartbeat.ReportAcceptance(chain, proposals, accepts);
-    }
+  Fingerprint fp;
+  fp.Add("streaming_hbp")
+      .Add(ToString(options.scheme))
+      .Add(static_cast<int>(options.category))
+      .Add(fit.total_pipes)
+      .Add(num_groups)
+      .Add(h.seed)
+      .Add(h.num_chains)
+      .Add(h.burn_in)
+      .Add(h.samples)
+      .Add(q0)
+      .Add(h.c0)
+      .Add(h.c)
+      .Add(fit.total_k)
+      .Add(fit.total_n);
+  const std::string tag =
+      "streaming_hbp_" + std::string(ToString(options.scheme));
+  GroupRateChainTraces traces;
+  {
+    telemetry::ScopedSpan sweep_span("streaming_hbp.sweep");
+    PIPERISK_ASSIGN_OR_RETURN(
+        traces, SampleGroupRates(h, kStreamingHbpStream, fp.digest(), tag,
+                                 "fit streaming-hbp", init_q, group_loglik));
   }
-  heartbeat.SetPhase("done");
-  heartbeat.Stop();
 
-  fit.group_rate_means.resize(static_cast<size_t>(num_groups));
-  fit.group_tilted_means.resize(static_cast<size_t>(num_groups));
-  for (int g = 0; g < num_groups; ++g) {
-    const size_t gi = static_cast<size_t>(g);
-    fit.group_rate_means[gi] = rate_sum[gi] / static_cast<double>(collected);
-    fit.group_tilted_means[gi] =
-        tilted_sum[gi] / static_cast<double>(collected);
+  // Posterior means over every surviving chain's draws, in chain order.
+  fit.group_rate_means.assign(static_cast<size_t>(num_groups), 0.0);
+  fit.group_tilted_means.assign(static_cast<size_t>(num_groups), 0.0);
+  double collected = 0.0;
+  for (const std::vector<std::vector<double>>& chain : traces) {
+    collected += static_cast<double>(chain.front().size());
+    for (size_t g = 0; g < chain.size(); ++g) {
+      for (double q : chain[g]) {
+        fit.group_rate_means[g] += q;
+        fit.group_tilted_means[g] += Clamp01(q);
+      }
+    }
   }
+  for (double& m : fit.group_rate_means) m /= collected;
+  for (double& m : fit.group_tilted_means) m /= collected;
   return fit;
 }
 

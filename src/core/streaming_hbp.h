@@ -22,19 +22,16 @@ namespace core {
 /// walk over its pipes (`ShardPipes`: raw group key + `CountPipeYears`, no
 /// feature rows), merges (integer weights: the merged histogram is exactly
 /// the in-memory one, independent of shard or thread order), and then runs
-/// the Metropolis-within-Gibbs group sampler over the tiny merged table.
-/// Peak RSS is bounded by the shard window, not the network.
+/// `HbpModel`'s checkpointed sampler (`SampleGroupRates`) over the tiny
+/// merged table. Peak RSS is bounded by the shard window, not the network.
 ///
-/// Two deliberate deviations from the in-memory `HbpModel`:
-///   - covariate multipliers are not fitted (the pooled histogram cannot
-///     carry per-pipe feature rows); the streaming fit is the
-///     covariate-free HBP, exactly the `use_covariates = false` model;
-///   - draws come from this sampler's own chains, so fits are
-///     statistically equivalent to, but not bit-identical with, HbpModel.
-///     Re-fitting the same shards with the same options IS
-///     bit-reproducible.
+/// It is the covariate-free HBP (the pooled histogram cannot carry per-pipe
+/// feature rows), on its own chain-0 stream, so it is statistically
+/// equivalent to, not bit-identical with, HbpModel. A single-chain fit is
+/// bit-identical to the streaming fit's past output (pinned by
+/// `StreamingHbpTest.ArtefactsMatchGolden`).
 struct StreamingHbpOptions {
-  HierarchyConfig hierarchy;  ///< q0/c0/c/burn_in/samples/seed/num_chains
+  HierarchyConfig hierarchy;  ///< sampler, checkpoint and heartbeat settings
   GroupingScheme scheme = GroupingScheme::kMaterial;
   net::PipeCategory category = net::PipeCategory::kCriticalMain;
   /// Shards materialised concurrently during the streaming passes.

@@ -88,7 +88,6 @@ ChainCheckpoint MakeSample() {
   c.group_count = {2, 2, 1};
   c.adapters = {{0.51, 100, 44}, {0.25, 100, 20}, {0.5, 0, 0}};
   c.prob_sum = {0.1, 0.2, 0.3, 0.0, -0.0};
-  c.rate_sum = {1.0, 2.0};
   c.k_trace = {3, 3, 2};
   c.alpha_trace = {1.0, 1.25, 1.375};
   c.qmax_trace = {0.5, 0.5, 0.5};
@@ -427,6 +426,49 @@ TEST(CheckpointRunnerTest, RejectsResumeWithoutDirectory) {
   program.restore = [](int, const ChainCheckpoint&) { return Status::OK(); };
   auto report = RunCheckpointedChains(options, program);
   ASSERT_FALSE(report.ok());
+}
+
+ChainProgram NoOpProgram() {
+  ChainProgram program;
+  program.init = [](int) {};
+  program.sweep = [](int, int, stats::Rng*) {};
+  program.capture = [](int, ChainCheckpoint*) {};
+  program.restore = [](int, const ChainCheckpoint&) { return Status::OK(); };
+  return program;
+}
+
+TEST(CheckpointRunnerTest, CreatesMissingNestedDirectory) {
+  // A directory that does not exist yet used to fail every snapshot write
+  // with a warning, so the run persisted nothing.
+  const std::string dir = TempCheckpointDir("nested") + "/a/b";
+  ChainRunnerOptions options;
+  options.num_chains = 2;
+  options.total_sweeps = 4;
+  options.checkpoint.dir = dir;
+  options.checkpoint.every = 2;
+  options.checkpoint.tag = "m";
+  auto report = RunCheckpointedChains(options, NoOpProgram());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(std::filesystem::exists(ChainCheckpointPath(dir, "m", 0)));
+  EXPECT_TRUE(std::filesystem::exists(ChainCheckpointPath(dir, "m", 1)));
+}
+
+TEST(CheckpointRunnerTest, RejectsCheckpointDirectoryThatIsAFile) {
+  const std::string file = TempCheckpointDir("file_dir") + "/plain";
+  std::ofstream(file) << "x";
+  ChainRunnerOptions options;
+  options.total_sweeps = 4;
+  options.checkpoint.dir = file;
+  options.checkpoint.every = 2;
+  bool swept = false;
+  ChainProgram program = NoOpProgram();
+  program.sweep = [&](int, int, stats::Rng*) { swept = true; };
+  auto report = RunCheckpointedChains(options, program);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kIoError);
+  EXPECT_NE(report.status().message().find(file), std::string::npos)
+      << report.status().ToString();
+  EXPECT_FALSE(swept);
 }
 
 TEST(CheckpointRunnerTest, AllChainsFailingIsAnError) {

@@ -678,7 +678,8 @@ TEST(StreamingHbpTest, FailedScoresWriteLeavesNoTempFile) {
 TEST(StreamingHbpTest, PassSpansOncePerCallAroundTheShardWindows) {
   // Each streaming pass records its two phase spans once per call (never
   // per shard), in order, on the calling thread; every shard window's
-  // parallel_for on that thread nests inside the pass's shard phase.
+  // parallel_for on that thread nests inside the pass's shard phase, and
+  // any other one inside the fit's sweep phase.
   const std::string dir = TempShardDir("spans");
   ASSERT_TRUE(GenerateShardedDataset(SmallOptions(dir, 3)).ok());
   auto shards = ShardedDataset::Open(dir);
@@ -743,12 +744,78 @@ TEST(StreamingHbpTest, PassSpansOncePerCallAroundTheShardWindows) {
           e.ts < call.ts || e.end > call.end) {
         continue;
       }
+      if (e.ts >= tail.ts && e.end <= tail.end) {
+        // Only the fit's group-rate sampler uses the pool after the shard
+        // phase: its chains and per-sweep target evaluations.
+        EXPECT_STREQ(pass.tail, "streaming_hbp.sweep");
+        continue;
+      }
       ++windows;
       EXPECT_GE(e.ts, shard_phase.ts);
       EXPECT_LE(e.end, shard_phase.end);
     }
     EXPECT_EQ(windows, 2);  // 3 shards in windows of 2
   }
+}
+
+void ExpectSameFit(const core::StreamingHbpFit& a,
+                   const core::StreamingHbpFit& b) {
+  EXPECT_EQ(a.raw_keys, b.raw_keys);
+  EXPECT_EQ(a.group_rate_means, b.group_rate_means);
+  EXPECT_EQ(a.group_tilted_means, b.group_tilted_means);
+  EXPECT_EQ(a.q0, b.q0);
+}
+
+TEST(StreamingHbpTest, HaltAndResumeIsBitIdentical) {
+  // The streaming fit runs the checkpointed chains of the in-memory HBP:
+  // a 2-chain fit halted after 3 sweeps and resumed from its snapshots
+  // lands on the uninterrupted fit's bits.
+  const std::string dir = TempShardDir("resume");
+  ASSERT_TRUE(GenerateShardedDataset(SmallOptions(dir, 3)).ok());
+  auto shards = ShardedDataset::Open(dir);
+  ASSERT_TRUE(shards.ok());
+  core::StreamingHbpOptions options;
+  options.hierarchy = testutil::FastHierarchy();
+  options.hierarchy.num_chains = 2;
+  auto baseline = core::FitStreamingHbp(*shards, options);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+
+  const std::string ckpt = dir + "/ckpt";
+  options.hierarchy.checkpoint.dir = ckpt;
+  options.hierarchy.checkpoint.every = 2;
+  options.hierarchy.checkpoint.halt_after_sweeps = 3;
+  ASSERT_FALSE(core::FitStreamingHbp(*shards, options).ok());
+  for (int chain : {0, 1}) {
+    EXPECT_TRUE(std::filesystem::exists(
+        core::ChainCheckpointPath(ckpt, "streaming_hbp_material", chain)));
+  }
+
+  options.hierarchy.checkpoint.halt_after_sweeps = -1;
+  options.hierarchy.checkpoint.resume = true;
+  auto resumed = core::FitStreamingHbp(*shards, options);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  ExpectSameFit(*baseline, *resumed);
+}
+
+TEST(StreamingHbpTest, MultiChainFitIsBitIdenticalAcrossThreadCounts) {
+  const std::string dir = TempShardDir("threads");
+  ASSERT_TRUE(GenerateShardedDataset(SmallOptions(dir, 3)).ok());
+  auto shards = ShardedDataset::Open(dir);
+  ASSERT_TRUE(shards.ok());
+  auto fit = [&](int threads, int sweep_threads) {
+    core::StreamingHbpOptions options;
+    options.hierarchy = testutil::FastHierarchy();
+    options.hierarchy.num_chains = 3;
+    options.hierarchy.num_threads = threads;
+    options.hierarchy.sweep_threads = sweep_threads;
+    auto fitted = core::FitStreamingHbp(*shards, options);
+    PIPERISK_CHECK(fitted.ok()) << fitted.status().ToString();
+    return std::move(*fitted);
+  };
+  const core::StreamingHbpFit reference = fit(1, 1);
+  ExpectSameFit(reference, fit(3, 1));
+  ExpectSameFit(reference, fit(1, 4));
+  ExpectSameFit(reference, fit(3, 4));
 }
 
 TEST(StreamingEvalTest, ManyBlankLinesDoNotRecurse) {

@@ -192,7 +192,37 @@ assert c.get("data.shard.checksum_failures", 0) == 0, c
 assert "data.shard.load_us" in m["histograms"], sorted(m["histograms"])
 print("shard telemetry valid:", c["data.shard.loads"], "loads,",
       c["data.shard.bytes_mapped"], "bytes mapped")
+# The streaming fit runs the checkpointed chains: 1 chain, 10 + 20 sweeps.
+assert c["mcmc.draws_collected"] == 20, c
+assert c["mcmc.chain.0.sweeps"] == 30, c
+rate = m["gauges"]["mcmc.acceptance_rate"]
+assert 0 < rate < 1, m["gauges"]
+print("streaming sampler telemetry valid: acceptance", rate)
 EOF
+
+# Out-of-core checkpoints: a halted fit leaves both chains' snapshots in a
+# directory it creates itself, and resuming them is byte-identical to an
+# uninterrupted fit.
+"$BIN" fit --data-dir shards --model hbp --burn 10 --samples 20 --chains 2 \
+    --out scores_str_c2.csv
+if "$BIN" fit --data-dir shards --model hbp --burn 10 --samples 20 \
+    --chains 2 --checkpoint-dir ckpt_str/new --checkpoint-every 2 \
+    --checkpoint-halt-after 3 --out scores_str_halt.csv 2>/dev/null; then
+  echo "expected interrupted streaming fit to exit non-zero" >&2
+  exit 1
+fi
+test -f ckpt_str/new/streaming_hbp_material.chain0.ckpt
+test -f ckpt_str/new/streaming_hbp_material.chain1.ckpt
+"$BIN" fit --data-dir shards --model hbp --burn 10 --samples 20 --chains 2 \
+    --checkpoint-dir ckpt_str/new --checkpoint-every 2 --resume \
+    --out scores_str_resumed.csv
+cmp scores_str_c2.csv scores_str_resumed.csv
+# Chains and sweep evaluations spread over threads without moving a byte.
+"$BIN" fit --data-dir shards --model hbp --burn 10 --samples 20 --chains 3 \
+    --threads 1 --out scores_str_t1.csv
+"$BIN" fit --data-dir shards --model hbp --burn 10 --samples 20 --chains 3 \
+    --threads 3 --sweep-threads 4 --out scores_str_t3.csv
+cmp scores_str_t1.csv scores_str_t3.csv
 
 # Sharded generation is a pure function of the seed: the thread count must
 # not change a byte of any shard or the manifest.
@@ -210,7 +240,7 @@ echo "== checkpoint / resume"
     --out scores_ck_base.csv
 # Crash simulation: the hidden halt hook stops every chain after 15 of 30
 # sweeps and exits non-zero, leaving the snapshots a kill -9 would leave.
-mkdir -p ckpt
+# The fit creates the checkpoint directory itself.
 if "$BIN" fit --data smoke --model dpmhbp --burn 10 --samples 20 --chains 2 \
     --checkpoint-dir ckpt --checkpoint-every 5 --checkpoint-halt-after 15 \
     --out scores_ck_halt.csv 2>/dev/null; then

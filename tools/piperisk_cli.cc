@@ -43,13 +43,16 @@
 //
 //   fit       --data-dir DIR --out SCORES.csv [--model hbp]
 //             [--shard-window W] [--category ...] [--burn N] [--samples N]
-//             [--seed N] [--chains K]
+//             [--seed N] [--chains K] [--threads T] [--sweep-threads S]
+//             [--checkpoint-dir DIR] [--checkpoint-every N] [--resume]
 //       Out-of-core form: stream a sharded dataset (see `generate
 //       --regions` / `convert`) through a bounded window of W shards,
 //       reduce it to per-group sufficient statistics, fit the covariate-
 //       free HBP on the merged statistics, and stream the shards once more
 //       to write scores in shard order. Peak RSS is bounded by the window,
-//       not the dataset. Only --model hbp supports this path.
+//       not the dataset. Only --model hbp supports this path. The sampler
+//       is the in-memory HBP's, so the MCMC, checkpoint and heartbeat flags
+//       act as above (snapshots are streaming_hbp_<scheme>.chain<K>.ckpt).
 //
 //   evaluate  --data PREFIX --scores SCORES.csv [--category ...]
 //             [--threads T] [--per-pipe FILE] [--topk K --topk-out FILE]
